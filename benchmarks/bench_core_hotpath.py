@@ -1,10 +1,11 @@
 """Hot-path microbenchmark suite + perf gate.
 
 Times the inner loops every simulation point spends its cycles in — the
-event kernel, TLB probes, MSHR churn, cuckoo-filter ops, global-PFN math —
-plus one full figure point as the end-to-end sanity check.  Each benchmark
-is run ``ROUNDS`` times and reports the **median**, so one scheduler hiccup
-cannot fail a gate.
+event kernel, TLB probes, MSHR churn, cuckoo-filter ops, global-PFN math,
+F-Barre's coalescing-group math and filter-update fan-out — plus one full
+figure point as the end-to-end sanity check.  Each benchmark is run
+``ROUNDS`` times and reports the **median**, so one scheduler hiccup cannot
+fail a gate.
 
 Because absolute seconds are machine-bound, every result also carries a
 ``normalized`` value: the benchmark's median divided by the time of a
@@ -40,7 +41,11 @@ from pathlib import Path
 from repro.common.addresses import split_global_pfn
 from repro.common.config import CuckooConfig, TlbConfig
 from repro.common.events import EventQueue
+from repro.core.fbarre import CoalescingAgent
 from repro.filters.cuckoo import CuckooFilter
+from repro.iommu.pec import PecLogic
+from repro.mapping.coalescing import DataDescriptor, PecBuffer
+from repro.memsim.pte import PteFields
 from repro.memsim.tlb import MshrFile, Tlb, TlbEntry
 
 ROUNDS = 3
@@ -163,6 +168,65 @@ def bench_global_pfn_split() -> int:
     return n
 
 
+def bench_coalescing_calc() -> int:
+    """PEC calculation over a PW-queue window + filter-update fan-out.
+
+    Part one replays the IOMMU's ``_coalesce_pending`` inner step:
+    ``PecLogic.calculate`` + ``synthesize_fields`` for every request in a
+    48-entry PW-queue window (a quarter of them group siblings of the
+    walked VPN).  Part two churns one chiplet's L2 TLB so every insert and
+    evict fans a 4-VPN ``FilterUpdate`` out to 3 peer RCFs.
+    """
+    chiplets, gran, window = 4, 8, 48
+    bases = tuple(c * 65_536 for c in range(chiplets))
+    desc = DataDescriptor(data_id=1, pasid=0, start_vpn=0x1000,
+                          end_vpn=0x1000 + 64 * gran * chiplets - 1,
+                          interlv_gran=gran, gpu_map=(2, 0, 3, 1))
+    bitmap = 0b1111
+
+    def fields_for(vpn: int) -> PteFields:
+        rnd, inter, intra = desc.position(vpn)
+        return PteFields(present=True,
+                         global_pfn=bases[desc.gpu_map[inter]] + 100
+                         + rnd * gran + intra,
+                         coal_bitmap=bitmap, inter_gpu_coal_order=inter)
+
+    pec = PecLogic(PecBuffer(5), bases)
+    pec.record_descriptor(desc)
+    walks = 1_200
+    ops = 0
+    for w in range(walks):
+        walked = desc.start_vpn + (w * 37) % (desc.num_pages - gran * chiplets)
+        fields = fields_for(walked)
+        pending = [walked + gran * (k % chiplets) if k % 4 == 0
+                   else walked + k for k in range(window)]
+        for vpn in pending:
+            pfn = pec.calculate(0, walked, fields, vpn)
+            if pfn is not None:
+                pec.synthesize_fields(0, vpn, walked, fields)
+            ops += 1
+    assert pec.stats.count("calculations") > walks
+
+    agents: list[CoalescingAgent] = []
+
+    def sender(peer, update) -> None:
+        agents[peer].apply_update(update)
+
+    l2s = [Tlb(TlbConfig(entries=64, ways=4, lookup_latency=10, mshrs=8),
+               name=f"bench.l2.{cid}") for cid in range(chiplets)]
+    for cid, tlb in enumerate(l2s):
+        agents.append(CoalescingAgent(cid, chiplets, CuckooConfig(),
+                                      PecLogic(PecBuffer(5), bases), tlb,
+                                      send_update=sender))
+    inserts = 18_000
+    for i in range(inserts):
+        vpn = desc.start_vpn + (i * 29) % desc.num_pages
+        l2s[0].insert(TlbEntry(pasid=0, vpn=vpn, global_pfn=1,
+                           coal=fields_for(vpn), pec=desc))
+    assert agents[1].stats.count("updates_applied") >= inserts * chiplets
+    return ops + inserts
+
+
 def bench_full_point() -> int:
     """One full figure point: F-Barre gemv, untraced (the end-to-end path)."""
     from repro.experiments import configs
@@ -184,6 +248,7 @@ BENCHES = {
     "mshr_cycle": bench_mshr_cycle,
     "cuckoo_ops": bench_cuckoo_ops,
     "global_pfn_split": bench_global_pfn_split,
+    "coalescing_calc": bench_coalescing_calc,
     "full_point": bench_full_point,
 }
 

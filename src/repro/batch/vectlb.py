@@ -184,7 +184,7 @@ class VectorTlb:
 def bulk_fingerprint_rows(items: np.ndarray, row_mask: int, fp_mask: int,
                           fp_xor: np.ndarray
                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized :meth:`CuckooFilter._candidate_rows` over an item array.
+    """Vectorized :meth:`CuckooFilter.rows` over an item array.
 
     Replays the scalar SplitMix64 arithmetic with uint64 wraparound, so
     ``(fp, i1, i2)`` match the event engine's filter bit for bit — the

@@ -16,14 +16,18 @@ the mesh unless oracle sharing is enabled (Fig 19's comparison point).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from repro.common.config import CuckooConfig
+from repro.common.errors import ConfigError
 from repro.common.stats import StatSet
 from repro.common.trace import NULL_TRACER
 from repro.filters.cuckoo import CuckooFilter
 from repro.iommu.pec import PecLogic
 from repro.memsim.tlb import Tlb, TlbEntry
+
+#: Per-VPN cuckoo ``(fp, i1, i2)``, index for index with a VPN tuple.
+Rows = tuple[tuple[int, int, int], ...]
 
 
 @dataclass(slots=True)
@@ -33,15 +37,38 @@ class FilterUpdate:
     The wire format is one (command, sender, coalescing VPN) message per
     VPN; the simulator batches the sibling set of one TLB insert/evict into
     a single event and charges the link per 44-bit message.
+
+    ``rows`` carries each VPN's precomputed cuckoo ``(fp, i1, i2)``, index
+    for index.  It is simulator bookkeeping, not wire payload: every filter
+    in one simulator shares one geometry and the hash is unseeded, so the
+    sender hashes each sibling once and every receiving RCF reuses it.
+    :meth:`CoalescingAgent.apply_update` requires it; only the batch
+    engine, whose own agent never reads it, leaves it empty.
     """
 
     command: str  # "add" | "delete"
     sender: int
     pasid: int
     vpns: tuple[int, ...]
+    rows: Rows = ()
 
     def __len__(self) -> int:
         return len(self.vpns)
+
+
+def require_shared_filter_geometry(
+        agents: Iterable[CoalescingAgent]) -> None:
+    """Reject agents whose LCF and RCFs do not all share one CuckooConfig.
+
+    :attr:`FilterUpdate.rows` are hashed by the sender and applied by every
+    receiver, which is only exact when all filters have one geometry.
+    """
+    configs = {filt.config for agent in agents
+               for filt in (agent.lcf, *agent.rcfs.values())}
+    if len(configs) > 1:
+        raise ConfigError(
+            f"F-Barre filters must share one cuckoo geometry to exchange "
+            f"precomputed rows; found {sorted(map(repr, configs))}")
 
 
 class CoalescingAgent:
@@ -64,9 +91,14 @@ class CoalescingAgent:
         self.stats = StatSet(f"fbarre.{chiplet_id}")
         self._counters = self.stats.counters
         self.lcf = CuckooFilter(cuckoo)
+        #: Row hash of this simulator's filter geometry, bound to the inner
+        #: filter so the invariant checker's shadows never see it.
+        self._rows_of = self.lcf.rows
         self.rcfs: dict[int, CuckooFilter] = {
             peer: CuckooFilter(cuckoo)
             for peer in range(num_chiplets) if peer != chiplet_id}
+        #: Peers in ascending id order: the RCF scan and update fan-out order.
+        self._peers = tuple(sorted(self.rcfs))
         #: Transport for filter updates; wired by the MCM to the mesh.
         self.send_update = send_update or (lambda peer, update: None)
         l2.on_insert = self._on_l2_insert
@@ -83,9 +115,15 @@ class CoalescingAgent:
 
     # -- TLB mirroring -------------------------------------------------------
 
-    def _sibling_vpns(self, entry: TlbEntry) -> tuple[int, ...]:
+    def _sibling_vpns(self, entry: TlbEntry) -> tuple[tuple[int, ...], Rows]:
+        """The entry's coalescing VPNs and their cuckoo rows, cached on it.
+
+        Computed on the entry's first insert; the matching eviction and
+        every peer's RCF update reuse both, so each sibling is hashed once
+        per TLB entry.
+        """
         if entry.siblings is not None:
-            return entry.siblings
+            return entry.siblings, entry.sibling_rows
         if entry.coal is None:
             siblings: tuple[int, ...] = (entry.vpn,)
         else:
@@ -93,39 +131,52 @@ class CoalescingAgent:
                 self.pec.record_descriptor(entry.pec)
             siblings = tuple(self.pec.sibling_vpns(entry.pasid, entry.vpn,
                                                    entry.coal))
+        rows_of = self._rows_of
+        rows = tuple([rows_of(vpn) for vpn in siblings])
         entry.siblings = siblings
-        return siblings
+        entry.sibling_rows = rows
+        return siblings, rows
 
     def _on_l2_insert(self, entry: TlbEntry) -> None:
+        siblings, rows = self._sibling_vpns(entry)
         # LCF reflects actual TLB contents: exact VPN only (Section V-A2).
-        if not self.lcf.insert(entry.vpn):
-            self.stats.bump("lcf_insert_drops")
-        siblings = self._sibling_vpns(entry)
-        for peer in self.rcfs:
-            self.send_update(peer, FilterUpdate(
-                command="add", sender=self.chiplet_id,
-                pasid=entry.pasid, vpns=siblings))
-        self.stats.bump("updates_sent", len(siblings) * len(self.rcfs))
+        if not self.lcf.insert(entry.vpn, rows[siblings.index(entry.vpn)]):
+            self._counters["lcf_insert_drops"] += 1
+        self._broadcast("add", entry.pasid, siblings, rows)
 
     def _on_l2_evict(self, entry: TlbEntry) -> None:
-        self.lcf.delete(entry.vpn)
-        siblings = self._sibling_vpns(entry)
-        for peer in self.rcfs:
-            self.send_update(peer, FilterUpdate(
-                command="delete", sender=self.chiplet_id,
-                pasid=entry.pasid, vpns=siblings))
-        self.stats.bump("updates_sent", len(siblings) * len(self.rcfs))
+        siblings, rows = self._sibling_vpns(entry)
+        self.lcf.delete(entry.vpn, rows[siblings.index(entry.vpn)])
+        self._broadcast("delete", entry.pasid, siblings, rows)
+
+    def _broadcast(self, command: str, pasid: int, siblings: tuple[int, ...],
+                   rows: Rows) -> None:
+        # Receivers only read an update, so one message serves every peer.
+        update = FilterUpdate(command=command, sender=self.chiplet_id,
+                              pasid=pasid, vpns=siblings, rows=rows)
+        send = self.send_update
+        for peer in self._peers:
+            send(peer, update)
+        self._counters["updates_sent"] += len(siblings) * len(self._peers)
 
     def apply_update(self, update: FilterUpdate) -> None:
         """A peer's filter-update batch arrived (best effort, no ack)."""
         rcf = self.rcfs[update.sender]
-        for vpn in update.vpns:
-            if update.command == "add":
-                if not rcf.insert(vpn):
-                    self.stats.bump("rcf_insert_drops")
-            else:
-                rcf.delete(vpn)
-        self.stats.bump("updates_applied", len(update.vpns))
+        vpns = update.vpns
+        rows = update.rows
+        if update.command == "add":
+            insert = rcf.insert
+            drops = 0
+            for vpn, vpn_rows in zip(vpns, rows, strict=True):
+                if not insert(vpn, vpn_rows):
+                    drops += 1
+            if drops:
+                self._counters["rcf_insert_drops"] += drops
+        else:
+            delete = rcf.delete
+            for vpn, vpn_rows in zip(vpns, rows, strict=True):
+                delete(vpn, vpn_rows)
+        self._counters["updates_applied"] += len(vpns)
 
     # -- translation paths -----------------------------------------------------
 
@@ -160,8 +211,9 @@ class CoalescingAgent:
 
     def predict_sharer(self, pasid: int, vpn: int) -> int | None:
         """RCF scan: which peer likely holds a coalescing entry (Fig 11)."""
-        for peer in sorted(self.rcfs):
-            if self.rcfs[peer].contains(vpn):
+        rcfs = self.rcfs
+        for peer in self._peers:
+            if rcfs[peer].contains(vpn):
                 self._counters["rcf_hits"] += 1
                 if self._trace_on:
                     self.tracer.phase(pasid, vpn, "rcf_hit")

@@ -84,10 +84,17 @@ class CuckooFilter:
         # Partial-key cuckoo hashing: i2 = i1 ^ hash(fp).
         return index1 ^ self._fp_xor[fp]
 
-    def _candidate_rows(self, item: int) -> tuple[int, int, int]:
-        # Runs on every filter operation: SplitMix64 is inlined for the two
-        # item hashes (identical arithmetic to _mix64) and the fp hash comes
-        # from the precomputed table.
+    def rows(self, item: int) -> tuple[int, int, int]:
+        """``(fingerprint, bucket1, bucket2)`` for ``item``.
+
+        A pure function of the item and the filter's geometry (the hash is
+        unseeded), so every filter built from one :class:`CuckooConfig`
+        agrees on it.  Callers that touch many such filters with the same
+        item compute it once and pass it to :meth:`insert`/:meth:`delete`.
+        """
+        # SplitMix64 is inlined for the two item hashes (identical
+        # arithmetic to _mix64) and the fp hash comes from the precomputed
+        # table.
         x = (item * 2 + 1 + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
         x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
         x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
@@ -109,16 +116,18 @@ class CuckooFilter:
 
     def contains(self, item: int) -> bool:
         """Membership test; false positives possible, negatives exact."""
-        fp, i1, i2 = self._candidate_rows(item)
+        fp, i1, i2 = self.rows(item)
         return fp in self._buckets[i1] or fp in self._buckets[i2]
 
-    def insert(self, item: int) -> bool:
+    def insert(self, item: int,
+               rows: tuple[int, int, int] | None = None) -> bool:
         """Insert; returns False when the filter is too full (no raise).
 
         F-Barre's filter updates are best-effort (Section V-A2), so a failed
-        insertion is a dropped update, not an error.
+        insertion is a dropped update, not an error.  ``rows``, when given,
+        must equal :meth:`rows` of ``item`` (precomputed by the caller).
         """
-        fp, i1, i2 = self._candidate_rows(item)
+        fp, i1, i2 = rows or self.rows(item)
         buckets = self._buckets
         bucket = buckets[i1]
         if len(bucket) < self._ways:
@@ -142,7 +151,7 @@ class CuckooFilter:
         ways = self._ways
         for _ in range(self._max_kicks):
             bucket = buckets[row]
-            victim_slot = cursor % len(bucket)
+            victim_slot = cursor % ways  # every bucket on the chain is full
             cursor += 1
             record((row, victim_slot))
             bucket[victim_slot], fp = fp, bucket[victim_slot]
@@ -164,9 +173,13 @@ class CuckooFilter:
             bucket[slot], fp = fp, bucket[slot]
         return False
 
-    def delete(self, item: int) -> bool:
-        """Delete one matching fingerprint; returns whether one was found."""
-        fp, i1, i2 = self._candidate_rows(item)
+    def delete(self, item: int,
+               rows: tuple[int, int, int] | None = None) -> bool:
+        """Delete one matching fingerprint; returns whether one was found.
+
+        ``rows`` is the optional precomputed :meth:`rows` of ``item``.
+        """
+        fp, i1, i2 = rows or self.rows(item)
         for row in (i1, i2):
             bucket = self._buckets[row]
             if fp in bucket:

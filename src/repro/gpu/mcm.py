@@ -25,7 +25,7 @@ from repro.common.errors import ConfigError, SimulationError
 from repro.common.events import EventQueue
 from repro.common.stats import Histogram, LatencyHistogram
 from repro.common.trace import NULL_TRACER, RecordingTracer
-from repro.core.fbarre import CoalescingAgent
+from repro.core.fbarre import CoalescingAgent, require_shared_filter_geometry
 from repro.core.translation import AtsHandler, FBarreHandler, LeastHandler
 from repro.gmmu.gmmu import Gmmu, GmmuHandler
 from repro.gpu.chiplet import Chiplet
@@ -417,6 +417,7 @@ class McmGpuSimulator:
             self.chiplets.append(chiplet)
         for cid, handler in fbarre_handlers.items():
             handler.peers = fbarre_handlers
+        require_shared_filter_geometry(self.agents.values())
         for cid, handler in least_handlers.items():
             handler.peer_l2s = {c.chiplet_id: c.l2 for c in self.chiplets
                                 if c.chiplet_id != cid}

@@ -249,6 +249,7 @@ class Iommu:
         desc = self.pec.descriptor_for(walk.pasid, walk.vpn)
         if desc is None:
             return
+        start, end = desc.start_vpn, desc.end_vpn
         survivors: deque[AtsRequest] = deque()
         scanned = 0
         # The PEC scan window is the PW-queue itself (Section IV-F): only
@@ -258,14 +259,16 @@ class Iommu:
             request = self._pending.popleft()
             scanned += 1
             if (scanned > window or request.pasid != walk.pasid
-                    or not desc.contains(request.vpn)):
+                    or not start <= request.vpn <= end):
                 survivors.append(request)
                 continue
+            # Always through PecLogic.calculate: it is the one entry point
+            # the invariant checker wraps.
             pfn = self.pec.calculate(walk.pasid, walk.vpn, fields, request.vpn)
             if pfn is None:
                 survivors.append(request)
                 continue
-            self.stats.bump("pec_coalesced")
+            self._counters["pec_coalesced"] += 1
             if self.pasid_counters is not None:
                 self.pasid_counters[request.pasid]["pec_coalesced"] += 1
             own = self.pec.synthesize_fields(walk.pasid, request.vpn,

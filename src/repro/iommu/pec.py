@@ -33,6 +33,7 @@ class PecLogic:
         #: enabled flag).
         self.tracer = NULL_TRACER
         self.stats = StatSet(name)
+        self._counters = self.stats.counters
         #: Test-only fault injection: added to every calculated PFN.  The
         #: validation harness sets this to a non-zero offset to prove the
         #: oracle/invariant checker catches a miscalculating PEC datapath
@@ -58,21 +59,25 @@ class PecLogic:
         This is the Section IV-F flow: look up the data in the PEC buffer,
         check the pending VPN is in range, then run the PFN calculator.
         """
-        if not fields.coalesced_under(self.compact_bitmap):
+        # Hot path (one call per PW-queue candidate): coalesced_under() and
+        # descriptor_for() are inlined.
+        bitmap = fields.coal_bitmap
+        if (bitmap < 2 if self.compact_bitmap else bitmap.bit_count() < 2):
             return None
-        desc = self.descriptor_for(pasid, pte_vpn)
+        desc = self.pec_buffer.lookup(pasid, pte_vpn)
         if desc is None:
-            self.stats.bump("descriptor_misses")
+            self._counters["descriptor_misses"] += 1
             return None
         pfn = calculate_pending_pfn(desc, pte_vpn, fields, pending_vpn,
                                     self.chiplet_bases,
                                     compact=self.compact_bitmap)
-        self.stats.bump("calculations" if pfn is not None else "rejections")
-        if pfn is not None and self._trace_on:
+        if pfn is None:
+            self._counters["rejections"] += 1
+            return None
+        self._counters["calculations"] += 1
+        if self._trace_on:
             self.tracer.phase(pasid, pending_vpn, "pec_calculated")
-        if pfn is not None and self.inject_pfn_offset:
-            pfn += self.inject_pfn_offset
-        return pfn
+        return pfn + self.inject_pfn_offset
 
     def sibling_vpns(self, pasid: int, vpn: int,
                      fields: PteFields) -> list[int]:
@@ -97,18 +102,26 @@ class PecLogic:
         when merged groups are possible — the intra-offset neighbours within
         the merge window (Section V-A3).
         """
-        desc = self.descriptor_for(pasid, vpn)
+        desc = self.pec_buffer.lookup(pasid, vpn)
         if desc is None:
             return []
-        rnd, _inter, intra = desc.position(vpn)
+        # desc.position()/vpn_at()/contains() written out: candidates ascend
+        # from the round's first VPN, so only the data's end can cut them.
+        gran = desc.interlv_gran
+        within = (vpn - desc.start_vpn) % desc.round_pages
+        intra = within % gran
         intra_lo = max(0, intra - (max_merge - 1))
-        intra_hi = min(desc.interlv_gran - 1, intra + (max_merge - 1))
+        intra_hi = min(gran - 1, intra + (max_merge - 1))
+        round_start = vpn - within
+        end = desc.end_vpn
         candidates = []
         for j in range(desc.num_sharers):
+            chunk = round_start + j * gran
             for i in range(intra_lo, intra_hi + 1):
-                candidate = desc.vpn_at(rnd, j, i)
-                if desc.contains(candidate):
-                    candidates.append(candidate)
+                candidate = chunk + i
+                if candidate > end:
+                    return candidates
+                candidates.append(candidate)
         return candidates
 
     def synthesize_fields(self, pasid: int, pending_vpn: int,
@@ -121,8 +134,8 @@ class PecLogic:
         orders) so it can serve later calculations.  The driver wrote those
         fields deterministically from the descriptor, so they can be rebuilt.
         """
-        desc = self.descriptor_for(pasid, sibling_vpn)
-        if desc is None or not desc.contains(pending_vpn):
+        desc = self.pec_buffer.lookup(pasid, sibling_vpn)
+        if desc is None or not desc.start_vpn <= pending_vpn <= desc.end_vpn:
             return None
         pfn = calculate_pending_pfn(desc, sibling_vpn, sibling_fields,
                                     pending_vpn, self.chiplet_bases,
@@ -139,7 +152,7 @@ class PecLogic:
                 coal_bitmap=sibling_fields.coal_bitmap,
                 inter_gpu_coal_order=j, intra_gpu_coal_order=i,
                 merged_groups=sibling_fields.merged_groups, extended=True)
-        _rnd, inter, _intra = desc.position(pending_vpn)
+        inter = (pending_vpn - desc.start_vpn) % desc.round_pages // gran
         return PteFields(
             present=True, global_pfn=pfn,
             coal_bitmap=sibling_fields.coal_bitmap,

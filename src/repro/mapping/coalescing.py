@@ -9,7 +9,7 @@ IOMMU's PEC logic and F-Barre's chiplet-side PEC logic both call into here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.common.errors import AddressError, TranslationError
 from repro.memsim.pte import PteFields
@@ -38,6 +38,13 @@ class DataDescriptor:
     end_vpn: int          # inclusive, like the paper's Start/End VPN fields
     interlv_gran: int
     gpu_map: tuple[int, ...]
+    #: Sharer count, ``len(gpu_map)``.  Derived once here rather than per
+    #: call: the PEC paths read it on every candidate.  Kept out of
+    #: ``__init__``, equality, hashing and repr.
+    num_sharers: int = field(init=False, repr=False, compare=False)
+    #: VPNs covered by one full round across all sharers
+    #: (``interlv_gran * num_sharers``); derived like ``num_sharers``.
+    round_pages: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.start_vpn > self.end_vpn:
@@ -54,19 +61,13 @@ class DataDescriptor:
             raise AddressError("gpu_map supports at most 16 chiplets")
         if len(set(self.gpu_map)) != len(self.gpu_map):
             raise AddressError(f"gpu_map has duplicate chiplets: {self.gpu_map}")
-
-    @property
-    def num_sharers(self) -> int:
-        return len(self.gpu_map)
+        object.__setattr__(self, "num_sharers", len(self.gpu_map))
+        object.__setattr__(self, "round_pages",
+                           self.interlv_gran * len(self.gpu_map))
 
     @property
     def num_pages(self) -> int:
         return self.end_vpn - self.start_vpn + 1
-
-    @property
-    def round_pages(self) -> int:
-        """VPNs covered by one full round across all sharers."""
-        return self.interlv_gran * self.num_sharers
 
     def contains(self, vpn: int) -> bool:
         return self.start_vpn <= vpn <= self.end_vpn
@@ -102,12 +103,12 @@ class DataDescriptor:
         incremented/decremented by ``interlv_gran``, bounded to the data.
         """
         rnd, _inter, intra = self.position(vpn)
-        members = []
-        for j in range(self.num_sharers):
-            candidate = self.vpn_at(rnd, j, intra)
-            if self.contains(candidate):
-                members.append(candidate)
-        return members
+        first = self.start_vpn + rnd * self.round_pages + intra
+        gran = self.interlv_gran
+        # vpn_at(rnd, j, intra) for each sharer j; all are >= start_vpn.
+        return [candidate for candidate in range(
+                    first, first + gran * self.num_sharers, gran)
+                if candidate <= self.end_vpn]
 
     def coal_bitmap_for(self, vpn: int) -> int:
         """The PTE coal_bitmap for ``vpn``'s group: participating chiplets."""
@@ -141,11 +142,12 @@ def merged_group_vpns(desc: DataDescriptor, vpn: int,
     gran = desc.interlv_gran
     first = (vpn - fields.intra_gpu_coal_order
              - gran * fields.inter_gpu_coal_order)
+    start, end = desc.start_vpn, desc.end_vpn
     members = []
     for j in range(desc.num_sharers):
         for i in range(fields.merged_groups):
             candidate = first + gran * j + i
-            if desc.contains(candidate):
+            if start <= candidate <= end:
                 members.append(candidate)
     return members
 
@@ -165,13 +167,19 @@ def calculate_pending_pfn(desc: DataDescriptor, pte_vpn: int,
     ``coal_bitmap`` holds the count of consecutive participating GPU_map
     positions instead of a chiplet mask (needed beyond 8 chiplets).
     """
-    if not (desc.contains(pte_vpn) and desc.contains(pending_vpn)):
+    # The membership and position() arithmetic is written out inline: this
+    # runs for every candidate the IOMMU and F-Barre PEC logic consider.
+    start = desc.start_vpn
+    end = desc.end_vpn
+    if not (start <= pte_vpn <= end and start <= pending_vpn <= end):
         return None
     if pending_vpn == pte_vpn:
         return fields.global_pfn
     gran = desc.interlv_gran
-    pte_chiplet = desc.chiplet_of(pte_vpn)
-    pte_base = chiplet_bases[pte_chiplet]
+    gpu_map = desc.gpu_map
+    round_pages = desc.round_pages
+    pte_rnd, pte_within = divmod(pte_vpn - start, round_pages)
+    pte_base = chiplet_bases[gpu_map[pte_within // gran]]
 
     if fields.extended and fields.merged_groups > 1:
         first = (pte_vpn - fields.intra_gpu_coal_order
@@ -180,7 +188,7 @@ def calculate_pending_pfn(desc: DataDescriptor, pte_vpn: int,
         j, i = divmod(offset, gran)
         if not (0 <= j < desc.num_sharers and 0 <= i < fields.merged_groups):
             return None
-        pending_chiplet = desc.gpu_map[j]
+        pending_chiplet = gpu_map[j]
         if not _participates(fields, j, pending_chiplet, compact):
             return None
         # PFN_pending = PFN_PTE - base_PTE - intra_PTE + base_pending + intra_pending
@@ -188,15 +196,15 @@ def calculate_pending_pfn(desc: DataDescriptor, pte_vpn: int,
                 + chiplet_bases[pending_chiplet] + i)
 
     # Standard group: pending must sit at pte_vpn +/- k * interlv_gran within
-    # the same round (Example 4's increment/decrement search).
-    delta = pending_vpn - pte_vpn
-    if delta % gran:
+    # the same round (Example 4's increment/decrement search).  A delta that
+    # is a multiple of the granularity also keeps the intra-chunk offset.
+    if (pending_vpn - pte_vpn) % gran:
         return None
-    rnd, inter, intra = desc.position(pte_vpn)
-    pending_rnd, pending_inter, pending_intra = desc.position(pending_vpn)
-    if pending_rnd != rnd or pending_intra != intra:
+    pending_rnd, pending_within = divmod(pending_vpn - start, round_pages)
+    if pending_rnd != pte_rnd:
         return None
-    pending_chiplet = desc.gpu_map[pending_inter]
+    pending_inter = pending_within // gran
+    pending_chiplet = gpu_map[pending_inter]
     if not _participates(fields, pending_inter, pending_chiplet, compact):
         return None
     local_pfn = fields.global_pfn - pte_base
@@ -255,7 +263,7 @@ class PecBuffer:
     def lookup(self, pasid: int, vpn: int) -> DataDescriptor | None:
         """Find the descriptor whose VPN range contains ``vpn``."""
         for desc in self._entries:
-            if desc.pasid == pasid and desc.contains(vpn):
+            if desc.pasid == pasid and desc.start_vpn <= vpn <= desc.end_vpn:
                 return desc
         return None
 

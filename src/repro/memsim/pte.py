@@ -88,7 +88,7 @@ class PteFields:
     @property
     def is_coalesced(self) -> bool:
         """True when more than one chiplet participates (Section IV-F)."""
-        return bin(self.coal_bitmap).count("1") > 1
+        return self.coal_bitmap.bit_count() > 1
 
     def coalesced_under(self, compact: bool) -> bool:
         """Coalescing test under either bitmap encoding.
@@ -104,7 +104,7 @@ class PteFields:
 
     @property
     def num_sharers(self) -> int:
-        return bin(self.coal_bitmap).count("1")
+        return self.coal_bitmap.bit_count()
 
     def sharer_chiplets(self) -> tuple[int, ...]:
         """Chiplet ids participating in the coalescing group, ascending."""

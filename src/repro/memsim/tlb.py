@@ -34,6 +34,9 @@ class TlbEntry:
     #: Cached sibling (coalescing) VPNs, filled by the F-Barre agent on
     #: insert so the matching eviction reuses the same set.
     siblings: Any = None
+    #: Cuckoo ``(fp, i1, i2)`` of each sibling, index for index; cached with
+    #: ``siblings`` so filter updates hash each sibling once per entry.
+    sibling_rows: Any = None
 
     @property
     def key(self) -> tuple[int, int]:

@@ -74,16 +74,41 @@ class CheckedCuckooFilter:
         self._where: dict[int, tuple[int, int, int]] = {}
 
     # -- the CuckooFilter surface the agent uses ---------------------------
+    #
+    # Spelled out in full (no attribute fall-through to the inner filter),
+    # so no filter operation can bypass the shadow.
 
-    def insert(self, item: int) -> bool:
-        ok = self._inner.insert(item)
+    @property
+    def config(self):
+        return self._inner.config
+
+    def rows(self, item: int) -> tuple[int, int, int]:
+        return self._inner.rows(item)
+
+    def _checked_rows(self, op: str, item: int,
+                      rows: tuple[int, int, int] | None
+                      ) -> tuple[int, int, int]:
+        """``item``'s true rows; shipped ``rows`` must agree with them."""
+        actual = self._inner.rows(item)
+        if rows is not None and rows != actual:
+            raise InvariantViolation(
+                f"filter {self.name}: {op}({item:#x}) shipped rows {rows} "
+                f"but the filter hashes it to {actual}")
+        return actual
+
+    def insert(self, item: int,
+               rows: tuple[int, int, int] | None = None) -> bool:
+        rows = self._checked_rows("insert", item, rows)
+        ok = self._inner.insert(item, rows)
         if ok:
             self._protected[item] += 1
-            self._where[item] = self._inner._candidate_rows(item)
+            self._where[item] = rows
         return ok
 
-    def delete(self, item: int) -> bool:
-        ok = self._inner.delete(item)
+    def delete(self, item: int,
+               rows: tuple[int, int, int] | None = None) -> bool:
+        rows = self._checked_rows("delete", item, rows)
+        ok = self._inner.delete(item, rows)
         if self._protected.get(item, 0) > 0:
             if not ok:
                 raise InvariantViolation(
@@ -93,7 +118,7 @@ class CheckedCuckooFilter:
         elif ok:
             # Removed a fingerprint that was not this key's: an aliasing
             # protected key (if any) just lost its cover.
-            self._demote_alias(item)
+            self._demote_alias(rows)
         return ok
 
     def contains(self, item: int) -> bool:
@@ -113,9 +138,6 @@ class CheckedCuckooFilter:
     def __len__(self) -> int:
         return len(self._inner)
 
-    def __getattr__(self, name: str):
-        return getattr(self._inner, name)
-
     # -- shadow bookkeeping -------------------------------------------------
 
     def _unprotect(self, item: int) -> None:
@@ -124,8 +146,8 @@ class CheckedCuckooFilter:
             del self._protected[item]
             self._where.pop(item, None)
 
-    def _demote_alias(self, item: int) -> None:
-        fp, i1, i2 = self._inner._candidate_rows(item)
+    def _demote_alias(self, rows: tuple[int, int, int]) -> None:
+        fp, i1, i2 = rows
         for key, (kfp, k1, k2) in self._where.items():
             if kfp == fp and {k1, k2} & {i1, i2}:
                 self.stats.bump("alias_demotions")

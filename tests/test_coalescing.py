@@ -192,6 +192,10 @@ class TestPecBuffer:
         buf = PecBuffer(capacity=5)
         buf.insert(self.make(1, 10))
         assert buf.lookup(0, 1005).data_id == 1
+        assert buf.lookup(0, 1000).data_id == 1  # both bounds inclusive
+        assert buf.lookup(0, 1009).data_id == 1
+        assert buf.lookup(0, 999) is None
+        assert buf.lookup(0, 1010) is None
         assert buf.lookup(0, 2005) is None
         assert buf.lookup(9, 1005) is None  # wrong pasid
 

@@ -2,8 +2,18 @@
 
 import pytest
 
-from repro.common import CuckooConfig, MemoryMap, MappingKind, TlbConfig
+from repro.common import (
+    ConfigError,
+    CuckooConfig,
+    MemoryMap,
+    MappingKind,
+    TlbConfig,
+)
 from repro.core import CoalescingAgent, FilterUpdate
+from repro.core.fbarre import require_shared_filter_geometry
+from repro.experiments import configs
+from repro.filters import CuckooFilter
+from repro.gpu import McmGpuSimulator
 from repro.iommu import PecLogic
 from repro.mapping import (
     AllocationRequest,
@@ -189,3 +199,58 @@ def test_uncoalesced_entry_updates_exact_vpn_only():
     adds = [u for _s, _p, u in h.sent if u.command == "add"]
     assert len(adds) == 3  # one batch per peer
     assert all(u.vpns == (rec.start_vpn,) for u in adds)
+
+
+def test_updates_ship_each_siblings_rows_once():
+    """Siblings are hashed once per TLB entry; every peer reuses the rows."""
+    h = Harness()
+    rec = h.alloc(pages=4)
+    entry = h.entry_for(rec.start_vpn, rec.descriptor)
+    h.l2s[0].insert(entry)
+    rows_of = h.agents[0].lcf.rows
+    assert entry.sibling_rows == tuple(rows_of(v) for v in entry.siblings)
+    h.l2s[0].invalidate(0, rec.start_vpn)
+    assert {u.command for _s, _p, u in h.sent} == {"add", "delete"}
+    for _src, _peer, update in h.sent:
+        assert update.vpns == entry.siblings
+        assert update.rows == entry.sibling_rows
+
+
+def test_update_without_rows_is_rejected():
+    """Rows are required: a rows-less update fails instead of re-hashing."""
+    h = Harness()
+    with pytest.raises(ValueError):
+        h.agents[1].apply_update(FilterUpdate(command="add", sender=0,
+                                              pasid=0, vpns=(0x40,)))
+
+
+def test_predict_sharer_scans_peers_in_ascending_order():
+    h = Harness()
+    vpn = 0x77
+    rows = (h.agents[0].lcf.rows(vpn),)
+    for sender in (3, 1, 2):
+        h.agents[0].apply_update(FilterUpdate(command="add", sender=sender,
+                                              pasid=0, vpns=(vpn,),
+                                              rows=rows))
+    assert h.agents[0].predict_sharer(0, vpn) == 1
+    h.agents[0].rcfs[1].delete(vpn)
+    assert h.agents[0].predict_sharer(0, vpn) == 2
+
+
+def test_shared_filter_geometry_required():
+    h = Harness()
+    require_shared_filter_geometry(h.agents)  # one CuckooConfig: accepted
+    h.agents[2].rcfs[0] = CuckooFilter(CuckooConfig(rows=512))
+    with pytest.raises(ConfigError, match="one cuckoo geometry"):
+        require_shared_filter_geometry(h.agents)
+
+
+def test_simulator_build_checks_filter_geometry(monkeypatch):
+    """The MCM build runs the geometry check over its agents."""
+    seen = []
+    monkeypatch.setattr("repro.gpu.mcm.require_shared_filter_geometry",
+                        lambda agents: seen.append(list(agents)))
+    from repro.workloads.suite import get_workload
+    sim = McmGpuSimulator(configs.fbarre(), [get_workload("gemv")],
+                          trace_scale=0.02)
+    assert seen and seen[0] == list(sim.agents.values())

@@ -178,6 +178,55 @@ def test_shadow_filter_clear_resets_protection():
     assert not proxy.contains(3)  # no violation: protection cleared too
 
 
+def test_shadow_filter_accepts_matching_rows():
+    proxy = small_checked()
+    assert proxy.insert(9, proxy.rows(9))
+    assert proxy.contains(9)
+    assert proxy._protected[9] == 1
+    assert proxy.delete(9, proxy.rows(9))
+    assert not proxy._protected
+
+
+def test_shadow_filter_rejects_mismatched_rows():
+    proxy = small_checked()
+    with pytest.raises(InvariantViolation, match="shipped rows"):
+        proxy.insert(9, proxy.rows(10))
+    assert proxy.insert(9)
+    with pytest.raises(InvariantViolation, match="shipped rows"):
+        proxy.delete(9, proxy.rows(10))
+    assert proxy.contains(9)  # the rejected delete touched nothing
+
+
+def test_shadow_filter_has_no_fallthrough_to_inner():
+    proxy = small_checked()
+    with pytest.raises(AttributeError):
+        proxy._buckets
+    with pytest.raises(AttributeError):
+        proxy.load_factor
+
+
+def test_checker_rejects_filter_update_with_wrong_rows():
+    from repro.core import FilterUpdate
+
+    sim = McmGpuSimulator(configs.fbarre(seed=3), [tiny_workload()],
+                          check_invariants=True)
+    agent = sim.agents[0]
+    bad = FilterUpdate(command="add", sender=1, pasid=0, vpns=(0x50,),
+                       rows=(agent.rcfs[1].rows(0x51),))
+    with pytest.raises(InvariantViolation, match="shipped rows"):
+        agent.apply_update(bad)
+
+
+def test_checked_fbarre_run_protects_rcf_keys():
+    sim = McmGpuSimulator(configs.fbarre(seed=4), [tiny_workload()],
+                          check_invariants=True)
+    sim.run()
+    rcfs = [rcf for agent in sim.agents.values()
+            for rcf in agent.rcfs.values()]
+    assert all(isinstance(rcf, CheckedCuckooFilter) for rcf in rcfs)
+    assert sum(rcf.check_all_resident() for rcf in rcfs) > 0
+
+
 # -- differential harness --------------------------------------------------
 
 def test_validate_point_clean_for_all_core_schemes():
