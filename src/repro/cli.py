@@ -136,17 +136,12 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="test-only: add OFFSET to every "
                                "PEC-calculated PFN and prove the harness "
                                "catches it (expect failures)")
-    validate.add_argument("--engine", default="event",
-                          choices=("event", "batch"),
-                          help="execution engine under test (default "
-                               "event; batch = vectorized engine, "
-                               "ats/barre/fbarre schemes only)")
     validate.add_argument("--scenario", default=None, metavar="NAME",
                           help="validate multi-tenant churn timelines "
                                "instead of single fuzz apps: 'churn' = "
                                "fuzzed scenario per seed, or a pinned "
                                "name (churn-min, churn-small, "
-                               "multi-tenant); event engine only")
+                               "multi-tenant)")
     validate.add_argument("--inject-stale-entry", action="store_true",
                           help="test-only: resurrect one TLB entry of a "
                                "departing tenant and prove the teardown "
@@ -381,7 +376,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     report = run_validation(schemes, seeds, trace_scale=args.scale,
                             check_invariants=not args.no_invariants,
                             inject_pec_offset=args.inject_pec_bug,
-                            engine=args.engine,
                             scenario=args.scenario,
                             inject_stale_entry=args.inject_stale_entry)
     print(report.describe())

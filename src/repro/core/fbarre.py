@@ -42,15 +42,14 @@ class FilterUpdate:
     for index.  It is simulator bookkeeping, not wire payload: every filter
     in one simulator shares one geometry and the hash is unseeded, so the
     sender hashes each sibling once and every receiving RCF reuses it.
-    :meth:`CoalescingAgent.apply_update` requires it; only the batch
-    engine, whose own agent never reads it, leaves it empty.
+    :meth:`CoalescingAgent.apply_update` requires it.
     """
 
     command: str  # "add" | "delete"
     sender: int
     pasid: int
     vpns: tuple[int, ...]
-    rows: Rows = ()
+    rows: Rows
 
     def __len__(self) -> int:
         return len(self.vpns)

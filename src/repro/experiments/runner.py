@@ -41,11 +41,10 @@ import warnings
 from pathlib import Path
 from typing import Callable
 
-from repro.batch import make_simulator, resolve_engine_config
 from repro.common import metrics
 from repro.common.config import SimConfig
 from repro.common.stats import Histogram, LatencyHistogram
-from repro.gpu.mcm import SimResult
+from repro.gpu.mcm import McmGpuSimulator, SimResult
 from repro.workloads.base import Workload
 from repro.workloads.suite import get_workload
 
@@ -137,13 +136,10 @@ def point_key(config: SimConfig, abbr: str, scale: float,
     """The canonical cache key of one simulation point.
 
     Identical in every process — it is what makes a worker-pool fill
-    land on the same file a serial ``run_point`` would use.  The
-    ``REPRO_ENGINE`` override is folded into the config first (the
-    ``engine`` field is part of the canonical config JSON), so results
-    produced by different engines always live under distinct keys —
-    env-switched runs can never read or poison event-engine entries.
+    land on the same file a serial ``run_point`` would use.  The config
+    enters as its canonical JSON (every field, sorted keys), so any
+    setting that can change a result changes the key.
     """
-    config = resolve_engine_config(config)
     return "|".join([SIM_VERSION, _config_key(config), abbr,
                      f"{scale:.4f}", workload_tag])
 
@@ -250,7 +246,6 @@ def _write_key_manifest(path: Path, config: SimConfig, abbr: str,
         return
     payload = {"sim_version": SIM_VERSION, "app": abbr,
                "scale": scale, "tag": tag, "file": path.name,
-               "engine": config.engine,
                "config": _config_key(config)}
     try:
         manifest.parent.mkdir(parents=True, exist_ok=True)
@@ -558,9 +553,10 @@ def run_point(config: SimConfig, app: str | Workload,
 
     ``app`` is a Table I abbreviation or a pre-built :class:`Workload`
     (pass ``workload_tag`` to make cache keys of modified workloads unique,
-    e.g. ``"x16"`` for Fig 24's scaled inputs).
+    e.g. ``"x16"`` for Fig 24's scaled inputs).  The config is keyed and
+    simulated exactly as given; only ``scale`` falls back to the
+    environment (``REPRO_BENCH_SCALE``) when omitted.
     """
-    config = resolve_engine_config(config)
     scale = bench_scale() if scale is None else scale
     sink = _collect_sink()
     if sink is not None:
@@ -571,14 +567,17 @@ def run_point(config: SimConfig, app: str | Workload,
     path = _point_path(config, workload.abbr, scale, workload_tag)
     return _fill_point(
         path,
-        lambda: make_simulator(config, [workload], trace_scale=scale).run(),
+        lambda: McmGpuSimulator(config, [workload], trace_scale=scale).run(),
         key_meta=lambda: (config, workload.abbr, scale, workload_tag))
 
 
 def run_pair(config: SimConfig, app_a: str, app_b: str,
              scale: float | None = None) -> SimResult:
-    """Multi-programming point: two apps co-scheduled (Section VII-I)."""
-    config = resolve_engine_config(config)
+    """Multi-programming point: two apps co-scheduled (Section VII-I).
+
+    ``app_b`` runs as PASID 1 next to ``app_a``; the point is cached under
+    ``app_a`` with the workload tag ``pair-<app_b>``.
+    """
     scale = bench_scale() if scale is None else scale
     sink = _collect_sink()
     if sink is not None:
@@ -589,8 +588,8 @@ def run_pair(config: SimConfig, app_a: str, app_b: str,
         first = get_workload(app_a)
         second = get_workload(app_b)
         second.pasid = 1
-        return make_simulator(config, [first, second],
-                              trace_scale=scale).run()
+        return McmGpuSimulator(config, [first, second],
+                               trace_scale=scale).run()
 
     path = _point_path(config, app_a, scale, f"pair-{app_b}")
     return _fill_point(path, compute,

@@ -302,10 +302,8 @@ class JobStore:
                            spec.validate_seed_start + spec.validate_seeds))
         report = run_validation(list(spec.validate_schemes), seeds,
                                 trace_scale=spec.scale or 1.0,
-                                check_invariants=True,
-                                engine=spec.validate_engine)
-        return {"ok": report.ok, "engine": spec.validate_engine,
-                "summary": report.describe()}
+                                check_invariants=True)
+        return {"ok": report.ok, "summary": report.describe()}
 
     # -- queries and control ------------------------------------------------
 

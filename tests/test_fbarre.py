@@ -218,10 +218,13 @@ def test_updates_ship_each_siblings_rows_once():
 
 def test_update_without_rows_is_rejected():
     """Rows are required: a rows-less update fails instead of re-hashing."""
+    with pytest.raises(TypeError):
+        FilterUpdate(command="add", sender=0, pasid=0, vpns=(0x40,))
     h = Harness()
     with pytest.raises(ValueError):
         h.agents[1].apply_update(FilterUpdate(command="add", sender=0,
-                                              pasid=0, vpns=(0x40,)))
+                                              pasid=0, vpns=(0x40,),
+                                              rows=()))
 
 
 def test_predict_sharer_scans_peers_in_ascending_order():

@@ -133,49 +133,6 @@ def test_golden_run(name: str, tmp_path: Path) -> None:
         f"serialize differently — key order or float formatting changed)")
 
 
-def test_batch_engine_is_off_by_default(tmp_path: Path,
-                                        monkeypatch) -> None:
-    """The batch engine must be invisible unless explicitly requested.
-
-    Three independent guarantees: a fresh config selects the event
-    engine; ``make_simulator`` with default settings builds the event
-    simulator even with ``REPRO_ENGINE`` exported (the env override is
-    resolved in the runner's ``point_key``/``run_point`` layer, never
-    inside the simulator constructor path used here); and a golden point
-    re-digested with the env var set stays byte-identical.
-    """
-    from repro.batch import make_simulator
-    from repro.common.config import SimConfig
-
-    assert SimConfig().engine == "event"
-    monkeypatch.setenv("REPRO_ENGINE", "batch")
-    sim = make_simulator(configs.baseline(), [get_workload("gemv")],
-                         trace_scale=SCALE)
-    assert isinstance(sim, McmGpuSimulator)
-
-    name = "baseline-gemv"
-    golden = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
-    actual = _digest(name, tmp_path)
-    assert actual["cache_payload_sha256"] == golden["cache_payload_sha256"]
-    assert actual["trace_jsonl_sha256"] == golden["trace_jsonl_sha256"]
-
-
-def test_engine_field_changes_cache_key_not_payload_bytes() -> None:
-    """``engine`` participates in the cache key (so batch results can
-    never shadow event-engine entries) but lives outside the persisted
-    payload fields, so default-path cache files stay byte-identical."""
-    from repro.experiments.runner import point_key
-
-    cfg = configs.baseline()
-    assert point_key(cfg, "gemv", SCALE) != point_key(
-        cfg.replace(engine="batch"), "gemv", SCALE)
-
-    golden = json.loads((GOLDEN_DIR / "baseline-gemv.json").read_text())
-    assert "engine" not in golden["stats"], (
-        "the engine marker leaked into the persisted payload; that would "
-        "change cache bytes for every default-path result")
-
-
 def test_golden_matrix_has_no_strays() -> None:
     """Every golden file corresponds to a live matrix point."""
     on_disk = {p.stem for p in GOLDEN_DIR.glob("*.json")}

@@ -149,6 +149,8 @@ class TestBasics:
             ({"figure": "fig05", "points": [gemv_point()]}, "exactly one"),
             ({"points": [gemv_point()], "scale": 99}, "out of range"),
             ({"validate": {"schemes": ["nosuch"]}}, "validate.schemes"),
+            ({"validate": {"schemes": ["barre"], "engine": "batch"}},
+             "unknown validate field"),
             ({}, "exactly one"),
         ]
         for payload, needle in cases:
@@ -257,6 +259,7 @@ class TestJobLifecycle:
         assert job["state"] == "completed"
         assert job["result"]["ok"] is True
         assert "accesses checked" in job["result"]["summary"]
+        assert set(job["result"]) == {"ok", "summary"}
 
     def test_cancel_running_job_is_point_boundary_deterministic(
             self, cache, make_service, slow_sim):
