@@ -1,15 +1,16 @@
-"""Distributed-sweep benchmark + perf gate (paired A/B vs the serial backend).
+"""Claim-queue sweep benchmark + perf gate (paired A/B vs an inline sweep).
 
-Times the same cold sweep twice on fresh caches — once through the serial
-backend, once through the distributed backend with two local workers — and
-gates three properties:
+Times the same cold sweep twice on fresh caches — once inline
+(``jobs=1``), once through the claim queue with two local helpers
+(``jobs=2``, ``REPRO_DISTRIBUTED_LOCAL=2``) — and gates three
+properties:
 
 1. **Determinism** — the two caches must contain byte-identical files
    (same names, same SHA-256 digests), and every point with a frozen
    golden digest in ``tests/golden/`` must match it.  Always enforced.
 2. **No duplicate work** — each side simulates every miss exactly once
    (``stats.simulated == len(points)`` on a fresh cache).  Always enforced.
-3. **Speedup floor** — the 2-worker distributed cold sweep must be at
+3. **Speedup floor** — the 2-helper claim-queue cold sweep must be at
    least ``FLOOR``x faster than serial.  Enforced only on machines with
    ``MIN_CORES``+ cores (CI runners); on a single-core box two workers
    cannot beat one, so the floor is reported but skipped.
@@ -81,19 +82,19 @@ def _with_env(overrides: dict[str, str | None]):
     return saved
 
 
-def _cold_sweep(scheduler: str,
+def _cold_sweep(side: str, jobs: int,
                 env: dict[str, str | None]) -> tuple[float, dict[str, str]]:
     """One cold sweep on a fresh cache: (wall seconds, digest map)."""
-    cache = tempfile.mkdtemp(prefix=f"repro-bench-dist-{scheduler}-")
+    cache = tempfile.mkdtemp(prefix=f"repro-bench-dist-{side}-")
     points = _points()
     overrides = {"REPRO_CACHE_DIR": cache, "REPRO_NO_CACHE": None, **env}
     saved = _with_env(overrides)
     try:
         start = time.perf_counter()
-        outcome = sweep(points, jobs=2, progress=False, scheduler=scheduler)
+        outcome = sweep(points, jobs=jobs, progress=False)
         seconds = time.perf_counter() - start
         assert outcome.stats.simulated == len(points), (
-            f"{scheduler}: expected {len(points)} simulations on a fresh "
+            f"{side}: expected {len(points)} simulations on a fresh "
             f"cache, saw {outcome.stats.simulated} (duplicate or lost work)")
         digests = _digest_map(cache)
         assert len(digests) == len(points)
@@ -121,11 +122,10 @@ def run_benches() -> dict:
     serial_times, distributed_times = [], []
     reference: dict[str, str] | None = None
     for _ in range(ROUNDS):
-        serial_s, serial_digests = _cold_sweep("serial", {
+        serial_s, serial_digests = _cold_sweep("serial", 1, {
             "REPRO_DISTRIBUTED_LOCAL": None})
-        dist_s, dist_digests = _cold_sweep("distributed", {
-            "REPRO_DISTRIBUTED_LOCAL": "2",
-            "REPRO_OVERSUBSCRIBE": "1"})
+        dist_s, dist_digests = _cold_sweep("distributed", 2, {
+            "REPRO_DISTRIBUTED_LOCAL": "2"})
         assert serial_digests == dist_digests, (
             "distributed cache files differ from serial — determinism "
             "violation")

@@ -2,17 +2,16 @@
 
 Where ``bench_core_hotpath.py`` times one simulation point's inner loops,
 this suite times the *fleet* layer above them: a cold multi-config sweep
-through the affinity scheduler (trace memo + thin wire + cost-model
-packing), the same sweep warm (pure cache-hit service), the cost-model
+on the default path (the claim queue on a multi-core machine, inline on
+one core), the same sweep warm (pure cache-hit service), the cost-model
 planner itself, and the CTA-trace memo against a from-scratch rebuild.
 
 Same scheme as the hotpath suite — median of ``ROUNDS``, normalized by the
 shared calibration loop, gated in CI against the committed
 ``baseline_sweep.json`` at the same default tolerance.  Cold-sweep rounds
 each run against a fresh temporary cache directory so every round pays the
-full miss path; the sweep's own worker pool is exercised at
-``REPRO_JOBS=4`` (clamped to the core count unless ``REPRO_OVERSUBSCRIBE``
-is set, exactly as in production).
+full miss path; the sweep's own workers are exercised at ``REPRO_JOBS=4``
+(clamped to the core count, exactly as in production).
 
 Usage mirrors the hotpath suite:
 
@@ -79,13 +78,13 @@ def _env(**overrides: str | None):
 # Benchmarks (the harness times each call; return value = op count)
 # --------------------------------------------------------------------------
 
-def bench_cold_sweep_affinity() -> int:
-    """Cold 2-scheme x 6-app sweep, affinity scheduler, fresh cache."""
+def bench_cold_sweep() -> int:
+    """Cold 2-scheme x 6-app sweep on the default path, fresh cache."""
     cache = tempfile.mkdtemp(prefix="repro-bench-sweep-")
     try:
         with _env(REPRO_CACHE_DIR=cache, REPRO_NO_CACHE=None,
-                  REPRO_JOBS="4", REPRO_SCHEDULER=None):
-            outcome = sweep(_points(), scheduler="affinity", progress=False)
+                  REPRO_JOBS="4", REPRO_DISTRIBUTED_LOCAL=None):
+            outcome = sweep(_points(), progress=False)
         assert outcome.stats.simulated == len(_APPS) * 2
         return outcome.stats.simulated
     finally:
@@ -110,7 +109,7 @@ def bench_plan_misses() -> int:
                            workload_tag=f"bench{i}")
         misses.append((point.key(), point))
     with _env(REPRO_CACHE_DIR=_WARM_CACHE, REPRO_NO_CACHE=None):
-        plan = plan_misses(misses, workers=4)
+        plan = plan_misses(misses)
     assert len(plan) == 512
     return 512
 
@@ -119,8 +118,8 @@ def bench_trace_memo_hit() -> int:
     """Memoized CTA-trace reuse vs regenerating offsets for every config.
 
     Measures 40 ``build_cta_traces`` calls for the same (app, seed, scale)
-    group — the pattern an affinity worker sees sweeping one app across
-    every scheme — where all but the first are LRU hits.
+    group — the pattern a worker sees claiming one app's affinity group
+    across every scheme — where all but the first are LRU hits.
     """
     workloads = [get_workload("fft")]
     seed = configs.baseline().seed
@@ -134,7 +133,7 @@ def bench_trace_memo_hit() -> int:
 
 
 BENCHES = {
-    "cold_sweep_affinity": bench_cold_sweep_affinity,
+    "cold_sweep": bench_cold_sweep,
     "warm_sweep": bench_warm_sweep,
     "plan_misses_512": bench_plan_misses,
     "trace_memo_hit": bench_trace_memo_hit,

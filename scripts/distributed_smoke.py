@@ -1,13 +1,13 @@
 #!/usr/bin/env python
-"""CI smoke for the distributed sweep backend: real processes, real crash.
+"""CI smoke for the sweep's claim queue: real processes, real crash.
 
 Runs the full coordinator/worker protocol with external ``repro worker``
 processes against one shared cache directory and asserts the acceptance
 properties end to end:
 
-1. **Serial reference** — fill a reference cache through the serial
-   backend and cross-check the frozen ``cache_payload_sha256`` digests
-   in ``tests/golden/``.
+1. **Serial reference** — fill a reference cache with an inline
+   (``jobs=1``) sweep and cross-check the frozen
+   ``cache_payload_sha256`` digests in ``tests/golden/``.
 2. **Two external workers, zero duplicates** — a coordinator with
    ``REPRO_DISTRIBUTED_LOCAL=0`` publishes the queue; two ``repro
    worker`` processes drain it.  The workers' combined ``simulated``
@@ -82,12 +82,10 @@ def _env(cache: str, **extra: str) -> dict[str, str]:
     return env
 
 
-def _sweep_cmd(schemes: str, apps: str, scale: float,
-               scheduler: str) -> list[str]:
+def _sweep_cmd(schemes: str, apps: str, scale: float) -> list[str]:
     return [sys.executable, "-m", "repro", "sweep",
             "--schemes", schemes, "--apps", apps,
-            "--scale", str(scale), "--jobs", "2",
-            "--scheduler", scheduler]
+            "--scale", str(scale), "--jobs", "2"]
 
 
 def _worker_cmd(cache: str, worker_id: str, max_idle: float) -> list[str]:
@@ -128,12 +126,12 @@ def main() -> int:
 
     os.environ["REPRO_CACHE_DIR"] = reference
     os.environ.pop("REPRO_NO_CACHE", None)
+    os.environ.pop("REPRO_DISTRIBUTED_LOCAL", None)
     points = [SweepPoint(SCHEMES[s](), app, SCALE)
               for s in ("baseline", "fbarre") for app in ("gemv", "fft")]
     crash_points = [SweepPoint(SCHEMES[s](), "fft", CRASH_SCALE)
                     for s in ("baseline", "barre", "fbarre", "mgvm")]
-    out = sweep(points + crash_points, jobs=1, progress=False,
-                scheduler="serial")
+    out = sweep(points + crash_points, jobs=1, progress=False)
     check(all(r is not None for r in out.results),
           f"serial reference filled {len(out.results)} points")
     reference_files = _cache_bytes(reference)
@@ -147,7 +145,7 @@ def main() -> int:
 
     print("[smoke] 2/3 coordinator + two external workers, zero duplicates")
     coordinator = _popen(
-        _sweep_cmd("baseline,fbarre", "gemv,fft", SCALE, "distributed"),
+        _sweep_cmd("baseline,fbarre", "gemv,fft", SCALE),
         env=_env(shared, REPRO_DISTRIBUTED_LOCAL="0"),
         cwd=REPO, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
         text=True)
@@ -186,8 +184,7 @@ def main() -> int:
 
     print("[smoke] 3/3 kill -9 a worker mid-group; reclaim completes it")
     coordinator = _popen(
-        _sweep_cmd("baseline,barre,fbarre,mgvm", "fft", CRASH_SCALE,
-                   "distributed"),
+        _sweep_cmd("baseline,barre,fbarre,mgvm", "fft", CRASH_SCALE),
         env=_env(crash, REPRO_DISTRIBUTED_LOCAL="0", REPRO_CLAIM_STALE="3",
                  REPRO_LOCK_STALE="5"),
         cwd=REPO, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,

@@ -33,7 +33,6 @@ from repro.experiments import (
 )
 from repro.experiments.registry import FIGURES, figure_points, run_figure
 from repro.experiments.runner import run_point, speedups, suite_results
-from repro.experiments.sweep import SCHEDULERS as SWEEP_SCHEDULERS
 from repro.experiments.sweep import SweepPoint, sweep
 from repro.workloads.suite import APP_ORDER, CATEGORY_OF
 
@@ -93,10 +92,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_cmd.add_argument("--dry-run", action="store_true",
                            help="plan only: count cached vs missing points "
                                 "and print the cost-model schedule")
-    sweep_cmd.add_argument("--scheduler", choices=SWEEP_SCHEDULERS,
-                           default=None,
-                           help="miss scheduler (default: REPRO_SCHEDULER "
-                                "or affinity)")
     sweep_cmd.add_argument("--events", default=None, metavar="PATH",
                            help="append the run's structured events "
                                 "(JSONL) to PATH")
@@ -160,9 +155,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--jobs", type=int, default=None,
                        help="default sweep workers per job "
                             "(default: REPRO_JOBS or all cores)")
-    serve.add_argument("--scheduler", choices=SWEEP_SCHEDULERS, default=None,
-                       help="default miss scheduler for jobs "
-                            "(default: REPRO_SCHEDULER or affinity)")
     serve.add_argument("--quota-points", type=int, default=2000,
                        help="per-client simulation-point budget per "
                             "window (default 2000)")
@@ -293,16 +285,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         events = RunEventLog(args.events)
     try:
         outcome = sweep(points, jobs=args.jobs, dry_run=args.dry_run,
-                        scheduler=args.scheduler, events=events)
+                        events=events)
     finally:
         if events is not None:
             events.close()
     print(f"[sweep] {outcome.stats.describe(dry_run=args.dry_run)}")
     if args.dry_run and outcome.plan:
-        print("[sweep] cost-model schedule (per-worker queues, "
-              "longest-first):")
+        print("[sweep] cost-model schedule (affinity groups in claim "
+              "order, longest-first):")
+        group, last = -1, None
         for pp in outcome.plan:
-            print(f"  worker {pp.worker}: {pp.est_seconds:7.2f}s "
+            if pp.point.group() != last:
+                group, last = group + 1, pp.point.group()
+            print(f"  group {group}: {pp.est_seconds:7.2f}s "
                   f"({pp.source:12s}) {pp.label()}")
     return 0
 
@@ -394,8 +389,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         quota=QuotaPolicy(points_per_window=args.quota_points,
                           window_seconds=args.quota_window,
                           max_concurrent_jobs=args.quota_jobs),
-        job_slots=args.job_slots, sweep_jobs=args.jobs,
-        scheduler=args.scheduler)
+        job_slots=args.job_slots, sweep_jobs=args.jobs)
     return serve_forever(ServiceApp(store), args.host, args.port,
                          on_shutdown=args.on_shutdown)
 

@@ -1,23 +1,22 @@
-"""Distributed sweep backend: shard affinity groups across hosts.
+"""The sweep's parallel path: a claim queue of affinity groups.
 
-The local schedulers stop at one machine's cores.  This backend
-generalizes the affinity scheduler's scheduler/wire split across a fleet:
-a lightweight **coordinator** (the process that called
-:func:`repro.experiments.sweep.sweep`) publishes the cost-model-LPT-ordered
-affinity groups to a filesystem **claim queue** under the shared result
-cache, and **workers** — ``repro worker`` processes on any host that
-mounts the same cache directory, plus helpers the coordinator spawns
-locally — claim groups, fill the cache, and heartbeat.  Results travel as
-digests (the thin cache-key wire the affinity scheduler proved out): a
-worker publishes each point through the runner's atomic cache fill and
-writes a small *done marker*; the coordinator loads the result from the
-cache by key.  Workers whose cache turned out read-only fall back to
-embedding the full payload in the marker.
+When :func:`repro.experiments.sweep.sweep` does not run its misses
+inline (its module docstring gives the rule), the process that called it
+becomes a lightweight **coordinator**: it publishes the plan's affinity
+groups, longest-first, to a filesystem **claim queue** under the shared
+result cache, and **workers** — helpers the coordinator spawns locally,
+plus ``repro worker`` processes on any host that mounts the same cache
+directory — claim groups, fill the cache, and heartbeat.  Results travel as digests
+(a thin cache-key wire): a worker publishes each point through the
+runner's atomic cache fill and writes a small *done marker*; the
+coordinator loads the result from the cache by key.  Workers whose cache
+turned out read-only fall back to embedding the full payload in the
+marker.
 
 Queue layout, under ``<cache>/meta/queue/<sweep_id>/``::
 
     manifest.json            # written last: workers ignore dirs without it
-    groups/g0007-<gid>.json  # one file per affinity group, LPT order
+    groups/g0007-<gid>.json  # one file per affinity group, plan order
     claims/<gid>.json        # O_CREAT|O_EXCL claim; mtime = heartbeat
     done/<gid>.<index>.json  # one marker per finished point
     cancel                   # marker: sweep cancelled, stop claiming
@@ -68,14 +67,13 @@ from typing import get_type_hints
 from repro.common import metrics
 from repro.common.config import SimConfig
 from repro.experiments import runner
-from repro.experiments.backends import SweepBackend
 from repro.experiments.sweep import (
     PlannedPoint,
     SweepCancelled,
     SweepPoint,
     _emit,
-    _pool_width,
     _run_inline,
+    _run_serial,
 )
 from repro.gpu import mcm
 
@@ -158,10 +156,25 @@ def point_from_wire(data: dict) -> SweepPoint:
 # Queue filesystem helpers
 # --------------------------------------------------------------------------
 
-def queue_root(cache_root: Path | None = None) -> Path | None:
-    """The claim-queue root under the (shared) cache, or None if no cache."""
-    root = runner._cache_dir() if cache_root is None else Path(cache_root)
-    return None if root is None else root / _QUEUE_DIR
+def create_sweep_dir() -> Path | None:
+    """A fresh, empty queue directory for one sweep, or None.
+
+    None means there is no writable result cache to hold a claim queue
+    (``REPRO_NO_CACHE``, or a directory this process cannot write) — the
+    sweep then runs its misses inline.
+    """
+    root = runner._cache_dir(create=True)
+    if root is None:
+        return None
+    sweep_id = f"{int(time.time() * 1000):013x}-{os.getpid()}"
+    sweep_dir = root / _QUEUE_DIR / sweep_id
+    try:
+        for sub in ("groups", "claims", "done"):
+            (sweep_dir / sub).mkdir(parents=True, exist_ok=True)
+    except OSError:
+        shutil.rmtree(sweep_dir, ignore_errors=True)
+        return None
+    return sweep_dir
 
 
 def _atomic_json(path: Path, payload: dict) -> None:
@@ -392,117 +405,38 @@ def local_worker_count(width: int) -> int:
 # The coordinator
 # --------------------------------------------------------------------------
 
-class DistributedBackend(SweepBackend):
+class DistributedBackend:
     """Coordinator side: publish groups, harvest markers, reclaim the dead."""
 
-    name = "distributed"
-    #: Never degrade to inline on a narrow machine: remote workers may add
-    #: capacity the local core count knows nothing about.
-    inline_when_narrow = False
+    def run(self, sweep_dir: Path, plan: list[PlannedPoint], workers: int,
+            reporter, results: dict, stats, cancel=None,
+            events=None) -> None:
+        """Drain ``plan`` through the queue at ``sweep_dir``, then remove it.
 
-    def width(self, jobs: int, misses: int) -> int:
-        return _pool_width(jobs, misses)
-
-    def run(self, plan: list[PlannedPoint], workers: int, reporter,
-            results: dict, stats, cancel=None, events=None) -> None:
-        root = runner._cache_dir(create=True)
-        if root is None:
-            raise RuntimeError(
-                "the distributed scheduler needs a writable shared result "
-                "cache (set REPRO_CACHE_DIR to shared storage; "
-                "REPRO_NO_CACHE must be unset)")
-        stats.steals = 0
-        sweep_id = f"{int(time.time() * 1000):013x}-{os.getpid()}"
-        sweep_dir = root / _QUEUE_DIR / sweep_id
-        for sub in ("groups", "claims", "done"):
-            (sweep_dir / sub).mkdir(parents=True, exist_ok=True)
-
-        # Group the plan by affinity group, keep LPT order (costliest
-        # group first = lexicographically first file), and split off the
-        # points that cannot travel as JSON.
-        groups: dict[tuple, list[tuple[int, PlannedPoint, dict]]] = {}
-        inline: list[tuple[int, PlannedPoint]] = []
-        for index, pp in enumerate(plan):
-            wire = point_to_wire(pp.point)
-            if wire is None:
-                inline.append((index, pp))
-            else:
-                groups.setdefault(pp.point.group(), []).append(
-                    (index, pp, wire))
-        ordered = sorted(groups.values(),
-                         key=lambda m: -sum(p.est_seconds for _, p, _ in m))
-        shipped: dict[int, PlannedPoint] = {}
-        for order, members in enumerate(ordered):
-            gid = runner.point_digest(members[0][1].key)[:12]
-            payload = {"gid": gid, "order": order,
-                       "est_seconds": round(sum(p.est_seconds
-                                                for _, p, _ in members), 4),
-                       "points": [{"index": index,
-                                   "digest": runner.point_digest(pp.key),
-                                   "point": wire}
-                                  for index, pp, wire in members]}
-            _atomic_json(sweep_dir / "groups" / f"g{order:04d}-{gid}.json",
-                         payload)
-            for index, pp, _ in members:
-                shipped[index] = pp
-                _emit(events, "point_start",
-                      digest=runner.point_digest(pp.key), app=pp.point.abbr,
-                      worker=pp.worker)
-        # The manifest lands last: workers ignore sweep dirs without one,
-        # so no group is claimable until the whole queue is published.
-        _atomic_json(sweep_dir / "manifest.json",
-                     {"sweep_id": sweep_id, "host": runner.host_id(),
-                      "pid": os.getpid(), "created": time.time(),
-                      "groups": len(ordered), "points": len(shipped),
-                      "inline_points": len(inline)})
-        metrics.METRICS.counter(
-            "repro_distributed_groups_total",
-            "affinity groups published to the distributed claim "
-            "queue").inc(len(ordered))
-        _emit(events, "queue_published", sweep_id=sweep_id,
-              groups=len(ordered), points=len(shipped),
-              inline_points=len(inline))
-
-        ctx = multiprocessing.get_context()
-        n_local = local_worker_count(workers)
-        procs = [ctx.Process(target=_local_worker,
-                             args=(str(root), sweep_id, lane), daemon=True)
-                 for lane in range(n_local)]
-        for proc in procs:
-            proc.start()
-
-        cached = stats.cached
-        done = 0
-        seen_markers: set[str] = set()
-        workers_seen: set[str] = set()
-        stale_s = claim_stale_s()
+        ``sweep_dir`` comes from :func:`create_sweep_dir`; ``workers`` is
+        the core-clamped width that sizes the local helper pool.
+        """
+        root = sweep_dir.parents[len(_QUEUE_DIR.parts)]
+        procs = []
         try:
+            shipped, inline = self._publish(sweep_dir, plan, events)
+            ctx = multiprocessing.get_context()
+            for lane in range(local_worker_count(workers)):
+                procs.append(ctx.Process(
+                    target=_local_worker,
+                    args=(str(root), sweep_dir.name, lane), daemon=True))
+                procs[-1].start()
+
             # Points that cannot travel run here while the fleet drains
             # the queue (typically a handful of Workload-object points).
-            for index, pp in inline:
-                if cancel is not None and cancel.is_set():
-                    raise SweepCancelled(
-                        f"sweep cancelled with "
-                        f"{len(plan) - done} misses outstanding")
-                _emit(events, "point_start",
-                      digest=runner.point_digest(pp.key),
-                      app=pp.point.abbr, worker=pp.worker)
-                memo = mcm.TRACE_MEMO
-                hits, misses = memo.hits, memo.misses
-                t0 = time.perf_counter()
-                results[pp.key] = _run_inline(pp.point)
-                seconds = time.perf_counter() - t0
-                stats.point_seconds[pp.key] = seconds
-                stats.memo_hits += memo.hits - hits
-                stats.memo_misses += memo.misses - misses
-                done += 1
-                _emit(events, "point_finish",
-                      digest=runner.point_digest(pp.key), app=pp.point.abbr,
-                      seconds=round(seconds, 4), stolen=False,
-                      worker=pp.worker)
-                reporter.update(cached + done,
-                                running=min(max(n_local, 1),
-                                            len(plan) - done))
+            if inline:
+                _run_serial(inline, reporter, results, stats,
+                            cancel=cancel, events=events)
+            cached = stats.cached
+            done = len(inline)
+            seen_markers: set[str] = set()
+            workers_seen: set[str] = set()
+            stale_s = claim_stale_s()
             while done < len(plan):
                 if cancel is not None and cancel.is_set():
                     _atomic_json(sweep_dir / "cancel",
@@ -544,6 +478,61 @@ class DistributedBackend(SweepBackend):
                     proc.join(timeout=5)
 
     @staticmethod
+    def _publish(sweep_dir: Path, plan: list[PlannedPoint],
+                 events) -> tuple[dict[int, PlannedPoint],
+                                  list[PlannedPoint]]:
+        """Write the plan's groups, then the manifest that opens the queue.
+
+        The plan is already group-contiguous and longest-first, so its
+        groups are published in that order (first group =
+        lexicographically first file).  Returns the shipped points by
+        plan index and the points that cannot travel as JSON.
+        """
+        ordered: list[list[tuple[int, PlannedPoint, dict]]] = []
+        inline: list[PlannedPoint] = []
+        last_group = None
+        for index, pp in enumerate(plan):
+            wire = point_to_wire(pp.point)
+            if wire is None:
+                inline.append(pp)
+                continue
+            if pp.point.group() != last_group:
+                ordered.append([])
+                last_group = pp.point.group()
+            ordered[-1].append((index, pp, wire))
+        shipped: dict[int, PlannedPoint] = {}
+        for order, members in enumerate(ordered):
+            gid = runner.point_digest(members[0][1].key)[:12]
+            payload = {"gid": gid, "order": order,
+                       "est_seconds": round(sum(p.est_seconds
+                                                for _, p, _ in members), 4),
+                       "points": [{"index": index,
+                                   "digest": runner.point_digest(pp.key),
+                                   "point": wire}
+                                  for index, pp, wire in members]}
+            _atomic_json(sweep_dir / "groups" / f"g{order:04d}-{gid}.json",
+                         payload)
+            for index, pp, _ in members:
+                shipped[index] = pp
+                _emit(events, "point_start",
+                      digest=runner.point_digest(pp.key), app=pp.point.abbr)
+        # The manifest lands last: workers ignore sweep dirs without one,
+        # so no group is claimable until the whole queue is published.
+        _atomic_json(sweep_dir / "manifest.json",
+                     {"sweep_id": sweep_dir.name, "host": runner.host_id(),
+                      "pid": os.getpid(), "created": time.time(),
+                      "groups": len(ordered), "points": len(shipped),
+                      "inline_points": len(inline)})
+        metrics.METRICS.counter(
+            "repro_distributed_groups_total",
+            "affinity groups published to the distributed claim "
+            "queue").inc(len(ordered))
+        _emit(events, "queue_published", sweep_id=sweep_dir.name,
+              groups=len(ordered), points=len(shipped),
+              inline_points=len(inline))
+        return shipped, inline
+
+    @staticmethod
     def _live_claims(sweep_dir: Path) -> list[Path]:
         try:
             return list((sweep_dir / "claims").iterdir())
@@ -556,10 +545,13 @@ class DistributedBackend(SweepBackend):
 
         Results come from the shared cache by key (the thin wire); a
         marker embedding a payload means the worker had no writable
-        cache, and the payload is used directly.
+        cache, and the payload is used directly.  Only ``*.json`` names
+        count: a marker still under its ``_atomic_json`` temp name may
+        already be complete, and reading it too would finish its point
+        twice and end the sweep one point short.
         """
         try:
-            marker_files = sorted((sweep_dir / "done").iterdir())
+            marker_files = sorted((sweep_dir / "done").glob("*.json"))
         except OSError:
             return False
         progressed = False

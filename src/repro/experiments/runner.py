@@ -67,7 +67,7 @@ _LOCK_POLL_INITIAL_S = 0.002
 _LOCK_POLL_MAX_S = 0.25
 
 #: Sidecar (under the cache root) of measured per-point wall-times, which
-#: the sweep scheduler reads to submit misses longest-first.
+#: the sweep planner reads to order misses longest-first.
 _TIMINGS_SIDECAR = Path("meta") / "timings.json"
 
 #: Key-manifest sidecar directory: one small JSON file per cached point

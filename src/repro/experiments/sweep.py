@@ -1,41 +1,33 @@
-"""Throughput-oriented sweep scheduler: fan (config, app) points over workers.
+"""Throughput-oriented sweep engine: fan (config, app) points over workers.
 
 Every paper figure reduces to a set of independent (config, app, scale)
-simulation points — embarrassingly parallel work that the serial harness
-paid for one core at a time.  :func:`sweep` takes an iterable of
-:class:`SweepPoint`, deduplicates them against the on-disk result cache,
-and hands the misses to a :class:`~repro.experiments.backends.SweepBackend`
-(``REPRO_SCHEDULER`` or the ``scheduler`` argument):
+simulation points — embarrassingly parallel work.  :func:`sweep` takes an
+iterable of :class:`SweepPoint`, deduplicates them against the on-disk
+result cache, plans the misses with a cost model, and runs them one of
+two ways, chosen from what it can observe (there is no option to pick):
 
-* **affinity** (default) — per-worker queues: points sharing an
-  (app, scale, seed) group are routed to one worker so its CTA-trace memo
-  (:data:`repro.gpu.mcm.TRACE_MEMO`) is hit for every config after the
-  first, with work stealing so idle workers drain other queues.  Workers
-  publish through the runner's atomic cache write and ship back only the
-  point's timing — the parent loads results from disk (the full payload
-  travels over the pipe only when the cache is off or unwritable).
-* **flat** — the legacy ``ProcessPoolExecutor`` fan-out, full payloads
-  pickled back; kept as the A/B comparison baseline and fallback.
-* **serial** — in-process, no worker pool (also used automatically for
-  ``jobs=1`` or a single miss).
-* **distributed** — a coordinator that publishes affinity groups to a
-  filesystem claim queue under the shared result cache; ``repro worker``
-  processes — spawned locally and/or launched on any host that mounts
-  the same cache directory — claim groups, fill the cache, and
-  heartbeat, so aggregate cores across hosts become the only limit
-  (see :mod:`repro.experiments.distributed` and docs/performance.md,
-  "Distributed sweeps").
+* **inline** — in this process, in plan order, no worker processes.  Used
+  when the core-clamped width ``min(jobs, misses, cores)`` is 1 and
+  ``REPRO_DISTRIBUTED_LOCAL`` is unset, and whenever there is no writable
+  result cache to hold a claim queue (``REPRO_NO_CACHE`` or an
+  unwritable directory).
+* **claim queue** — everything else.  The coordinator (this process)
+  publishes the plan's affinity groups to a filesystem claim queue under
+  the result cache; local helper processes, plus ``repro worker``
+  processes on any host that mounts the same cache directory, claim
+  groups, fill the cache, and heartbeat (see
+  :mod:`repro.experiments.distributed` and docs/performance.md).
 
-All four produce bit-identical results (same seeded RNG from
+Both produce bit-identical results (same seeded RNG from
 ``SimConfig.seed``, same ``SIM_VERSION`` cache keying, same atomic cache
 files — asserted by ``tests/test_sweep.py`` against the golden-run
 digests).
 
 Cost-model scheduling: measured per-point wall-times persist in a sidecar
-under the result cache (``runner.load_timings``).  Misses are submitted
-longest-first — greedy LPT packing, so one slow high-MPKI straggler no
-longer dictates the batch tail — and ``repro sweep --dry-run`` prints the
-planned order.
+under the result cache (``runner.load_timings``).  :func:`plan_misses`
+orders affinity groups longest-first, each group contiguous so a worker's
+CTA-trace memo stays hot; claiming the next group in that order is LPT
+list scheduling.  ``repro sweep --dry-run`` prints the planned order.
 
 Prewarming: :func:`collect_points` runs an experiment function in the
 runner's collection mode — ``run_point``/``run_pair`` record their would-be
@@ -56,19 +48,13 @@ from dataclasses import dataclass, field
 from repro.common import metrics
 from repro.common.config import SimConfig
 from repro.experiments import runner
+from repro.gpu import mcm
 from repro.gpu.mcm import SimResult
 from repro.workloads.base import Workload
-
-#: Recognized scheduler names (``REPRO_SCHEDULER`` / ``scheduler=``) —
-#: each resolves to a :class:`~repro.experiments.backends.SweepBackend`.
-SCHEDULERS = ("affinity", "flat", "serial", "distributed")
 
 #: Per-point cost guess (seconds) when the sidecar has no data at all —
 #: only the *relative* order matters, so any constant works.
 _DEFAULT_COST = 1.0
-
-#: Idle worker nap between steal rounds (all queues momentarily empty).
-_STEAL_POLL_S = 0.005
 
 
 class SweepCancelled(RuntimeError):
@@ -126,13 +112,12 @@ class SweepPoint:
 
 @dataclass
 class PlannedPoint:
-    """One cache miss with its cost estimate and worker assignment."""
+    """One cache miss with its cost estimate."""
 
     key: str
     point: SweepPoint
     est_seconds: float
     source: str            #: "measured" | "app-median" | "suite-median" | "default"
-    worker: int = 0
 
     def label(self) -> str:
         p = self.point
@@ -152,7 +137,7 @@ class SweepStats:
     elapsed: float = 0.0    #: wall-clock seconds
     memo_hits: int = 0      #: CTA-trace memo hits across all workers
     memo_misses: int = 0    #: CTA-trace memo misses across all workers
-    steals: int = 0         #: stolen points (affinity) / reclaimed groups (distributed)
+    steals: int = 0         #: groups reclaimed from dead claim-queue workers
     #: Measured wall-time of every simulated miss, by cache key.
     point_seconds: dict[str, float] = field(default_factory=dict)
     #: Host a miss was simulated on, by cache key — only filled by the
@@ -180,9 +165,9 @@ class SweepOutcome:
 
     results: list[SimResult | None] = field(default_factory=list)
     stats: SweepStats = field(default_factory=SweepStats)
-    #: The cost-model schedule of the misses, in execution order (each
-    #: worker's queue longest-first).  Populated whenever there were
-    #: misses, including dry runs — ``repro sweep --dry-run`` prints it.
+    #: The cost-model schedule of the misses: affinity groups contiguous,
+    #: longest-first.  Populated whenever there were misses, including
+    #: dry runs — ``repro sweep --dry-run`` prints it.
     plan: list[PlannedPoint] = field(default_factory=list)
 
 
@@ -194,27 +179,15 @@ def default_jobs() -> int:
     return os.cpu_count() or 1
 
 
-def default_scheduler() -> str:
-    """Scheduler name: ``REPRO_SCHEDULER`` if set, else ``affinity``."""
-    name = os.environ.get("REPRO_SCHEDULER", "").strip() or "affinity"
-    if name not in SCHEDULERS:
-        raise ValueError(f"unknown scheduler {name!r} "
-                         f"(choose from {', '.join(SCHEDULERS)})")
-    return name
-
-
 def _pool_width(jobs: int, misses: int) -> int:
-    """Worker processes for a pool: ``min(jobs, misses)``, clamped to cores.
+    """Local workers for the misses: ``min(jobs, misses, cores)``.
 
     A simulation point is CPU-bound pure Python, so workers beyond the
     core count only add context switching and memory pressure (measured
-    ~1.2x slower at ``REPRO_JOBS=4`` on one core).  Set
-    ``REPRO_OVERSUBSCRIBE=1`` to force the literal ``REPRO_JOBS`` width.
+    ~1.2x slower at ``REPRO_JOBS=4`` on one core).  A width of 1 runs
+    the misses inline.
     """
-    width = min(jobs, misses)
-    if not os.environ.get("REPRO_OVERSUBSCRIBE"):
-        width = min(width, os.cpu_count() or width)
-    return max(1, width)
+    return max(1, min(jobs, misses, os.cpu_count() or 1))
 
 
 def _run_inline(point: SweepPoint) -> SimResult:
@@ -240,16 +213,15 @@ def _emit(events, kind: str, **fields) -> None:
 # Cost model
 # --------------------------------------------------------------------------
 
-def plan_misses(misses: list[tuple[str, SweepPoint]],
-                workers: int) -> list[PlannedPoint]:
-    """Cost-model schedule: estimate, group by affinity, pack longest-first.
+def plan_misses(misses: list[tuple[str, SweepPoint]]) -> list[PlannedPoint]:
+    """Cost-model schedule: estimate, group by affinity, longest-first.
 
     Estimates come from the runner's wall-time sidecar (exact where this
-    point has run before, per-app median otherwise).  Affinity groups are
-    sorted by total cost and greedily assigned to the least-loaded worker
-    (LPT packing); within a worker the queue is group-contiguous — so the
-    trace memo stays hot — with costlier groups and points first.  The
-    returned list is the concatenation of the workers' queues.
+    point has run before, per-app median otherwise).  The returned list
+    is group-contiguous — so a worker's trace memo stays hot — with
+    groups ordered by total cost and, within a group, costlier points
+    first.  Workers that claim the next group in this order perform LPT
+    list scheduling; the inline path simply runs the list.
     """
     timings = runner.load_timings()
     by_app: dict[str, list[float]] = {}
@@ -278,16 +250,34 @@ def plan_misses(misses: list[tuple[str, SweepPoint]],
         groups.setdefault(pp.point.group(), []).append(pp)
     for members in groups.values():
         members.sort(key=lambda pp: -pp.est_seconds)
-    per_worker: list[list[PlannedPoint]] = [[] for _ in range(max(1, workers))]
-    loads = [0.0] * len(per_worker)
-    for members in sorted(groups.values(),
-                          key=lambda m: -sum(pp.est_seconds for pp in m)):
-        w = loads.index(min(loads))
-        for pp in members:
-            pp.worker = w
-        loads[w] += sum(pp.est_seconds for pp in members)
-        per_worker[w].extend(members)
-    return [pp for queue in per_worker for pp in queue]
+    ordered = sorted(groups.values(),
+                     key=lambda m: -sum(pp.est_seconds for pp in m))
+    return [pp for members in ordered for pp in members]
+
+
+def _run_serial(plan: list[PlannedPoint], reporter, results: dict,
+                stats: SweepStats, cancel=None, events=None) -> None:
+    """Run every miss in this process, in plan order."""
+    memo = mcm.TRACE_MEMO
+    reporter.update(stats.cached, running=1)
+    for done, pp in enumerate(plan):
+        if cancel is not None and cancel.is_set():
+            raise SweepCancelled(
+                f"sweep cancelled with {len(plan) - done} "
+                f"misses outstanding")
+        digest = runner.point_digest(pp.key)
+        _emit(events, "point_start", digest=digest, app=pp.point.abbr)
+        hits, memo_misses = memo.hits, memo.misses
+        t0 = time.perf_counter()
+        results[pp.key] = _run_inline(pp.point)
+        seconds = time.perf_counter() - t0
+        stats.point_seconds[pp.key] = seconds
+        stats.memo_hits += memo.hits - hits
+        stats.memo_misses += memo.misses - memo_misses
+        _emit(events, "point_finish", digest=digest, app=pp.point.abbr,
+              seconds=round(seconds, 4), stolen=False, worker=0)
+        reporter.update(stats.cached + done + 1,
+                        running=int(done + 1 < len(plan)))
 
 
 # --------------------------------------------------------------------------
@@ -364,17 +354,17 @@ class _Progress:
 # --------------------------------------------------------------------------
 
 def sweep(points, jobs: int | None = None, progress: bool | None = None,
-          dry_run: bool = False, scheduler: str | None = None,
-          observer=None, cancel: threading.Event | None = None,
+          dry_run: bool = False, observer=None,
+          cancel: threading.Event | None = None,
           events=None) -> SweepOutcome:
     """Deduplicate ``points`` against the cache and schedule the misses.
 
     Returns results in submission order (duplicates each get the shared
     result).  ``jobs=None`` uses :func:`default_jobs`; ``progress=None``
-    draws the live line only on a TTY; ``scheduler=None`` uses
-    :func:`default_scheduler`.  ``dry_run=True`` plans without simulating
-    — missing points come back as ``None`` with the cost-model schedule
-    in ``outcome.plan``.
+    draws the live line only on a TTY.  ``dry_run=True`` plans without
+    simulating — missing points come back as ``None`` with the cost-model
+    schedule in ``outcome.plan``.  The misses run inline or through the
+    claim queue, as the module docstring describes.
 
     ``observer`` receives every progress snapshot dict (see
     :meth:`_Progress.snapshot`) including a final one; ``cancel`` is a
@@ -399,10 +389,6 @@ def sweep(points, jobs: int | None = None, progress: bool | None = None,
             total=len(points), unique=len(points)))
     start = time.perf_counter()
     jobs = default_jobs() if jobs is None else max(1, int(jobs))
-    scheduler = default_scheduler() if scheduler is None else scheduler
-    if scheduler not in SCHEDULERS:
-        raise ValueError(f"unknown scheduler {scheduler!r} "
-                         f"(choose from {', '.join(SCHEDULERS)})")
     keys = [p.key() for p in points]
     unique: dict[str, SweepPoint] = {}
     for key, point in zip(keys, points):
@@ -421,8 +407,7 @@ def sweep(points, jobs: int | None = None, progress: bool | None = None,
     cached = len(results)
     stats = SweepStats(total=len(points), unique=len(unique), cached=cached)
     _emit(events, "sweep_start", total=stats.total, unique=stats.unique,
-          cached=cached, misses=len(misses), scheduler=scheduler,
-          dry_run=dry_run)
+          cached=cached, misses=len(misses), dry_run=dry_run)
     for key, point in hits:
         _emit(events, "point_cache_hit",
               digest=runner.point_digest(key), app=point.abbr)
@@ -430,29 +415,32 @@ def sweep(points, jobs: int | None = None, progress: bool | None = None,
     reporter = _Progress(len(unique), cached, enabled=progress,
                          observer=observer)
     if dry_run:
-        plan = plan_misses(misses, _pool_width(jobs, len(misses) or 1))
+        plan = plan_misses(misses)
         for key, _ in misses:
             results[key] = None
     elif misses:
-        stats.simulated = len(misses)
-        # Imported here, not at module top: backends.py imports this
-        # module's plan/stats/progress machinery at import time.
-        from repro.experiments import backends as _backends
-        backend = _backends.get_backend(scheduler)
-        workers = backend.width(jobs, len(misses))
+        width = _pool_width(jobs, len(misses))
+        sweep_dir = None
         # A one-worker pool is strictly worse than running inline (same
-        # serial order, plus process spawn and result IPC) — so the core
-        # clamp on a small machine degrades local pool backends to the
-        # serial path.  The distributed backend opts out: remote workers
-        # may add capacity the local core count knows nothing about.
-        if backend.inline_when_narrow and (workers == 1 or len(misses) == 1):
-            backend = _backends.get_backend("serial")
-            workers = 1
-        stats.jobs = max(1, workers)
+        # order, plus process spawn and queue IO).  REPRO_DISTRIBUTED_LOCAL
+        # keeps the queue even then: it sets the local helper count, and
+        # 0 means remote workers the core count knows nothing about.
+        if width > 1 or os.environ.get("REPRO_DISTRIBUTED_LOCAL", "").strip():
+            # Imported here, not at module top: distributed.py imports
+            # this module's plan/stats/progress machinery.
+            from repro.experiments import distributed
+            sweep_dir = distributed.create_sweep_dir()
         try:
-            plan = plan_misses(misses, stats.jobs)
-            backend.run(plan, workers, reporter, results, stats,
-                        cancel=cancel, events=events)
+            plan = plan_misses(misses)
+            if sweep_dir is None:
+                _run_serial(plan, reporter, results, stats,
+                            cancel=cancel, events=events)
+            else:
+                stats.jobs = width
+                distributed.DistributedBackend().run(
+                    sweep_dir, plan, width, reporter, results, stats,
+                    cancel=cancel, events=events)
+            stats.simulated = len(stats.point_seconds)
         except SweepCancelled as exc:
             _emit(events, "sweep_cancelled", error=str(exc))
             metrics.METRICS.counter(
@@ -475,18 +463,21 @@ def sweep(points, jobs: int | None = None, progress: bool | None = None,
     reporter.finish()
     stats.elapsed = time.perf_counter() - start
     if observer is not None:
-        observer(reporter.snapshot(cached + len(stats.point_seconds),
+        # A completed run has settled every unique point — including the
+        # ones a claim-queue worker found already cached, which add no
+        # point_seconds.
+        observer(reporter.snapshot(cached if dry_run else stats.unique,
                                    running=0))
     reg = metrics.METRICS
     if reg.enabled:
         pts = reg.counter("repro_sweep_points_total",
                           "sweep points by disposition")
         pts.inc(cached, status="cached")
-        pts.inc(len(stats.point_seconds), status="simulated")
+        pts.inc(stats.simulated, status="simulated")
         if stats.steals:
             reg.counter("repro_sweep_steals_total",
-                        "points drained from a peer worker queue").inc(
-                stats.steals)
+                        "groups reclaimed from dead claim-queue "
+                        "workers").inc(stats.steals)
         memo = reg.counter("repro_sweep_memo_total",
                            "CTA-trace memo lookups across sweep workers")
         if stats.memo_hits:
@@ -500,7 +491,7 @@ def sweep(points, jobs: int | None = None, progress: bool | None = None,
         reg.counter("repro_sweeps_total", "sweep() calls by outcome").inc(
             outcome="dry-run" if dry_run else "completed")
     _emit(events, "sweep_finish", total=stats.total, unique=stats.unique,
-          cached=stats.cached, simulated=len(stats.point_seconds),
+          cached=stats.cached, simulated=stats.simulated,
           steals=stats.steals, memo_hits=stats.memo_hits,
           memo_misses=stats.memo_misses, jobs=stats.jobs,
           elapsed=round(stats.elapsed, 4), dry_run=dry_run)
@@ -562,12 +553,10 @@ class SweepJob:
     """
 
     def __init__(self, points, jobs: int | None = None,
-                 scheduler: str | None = None,
                  cancel_event: threading.Event | None = None,
                  events=None):
         self.points = list(points)
         self.jobs = jobs
-        self.scheduler = scheduler
         #: Structured run-event sink (see :func:`sweep`); progress
         #: snapshots are forwarded to it too, as ``progress`` events.
         self.events = events
@@ -576,7 +565,7 @@ class SweepJob:
         self.error: str | None = None
         #: Sharable: a caller may pass its own event so an external
         #: cancel signal (e.g. the service's DELETE route) reaches the
-        #: scheduler directly.
+        #: sweep directly.
         self._cancel = cancel_event if cancel_event is not None \
             else threading.Event()
         self._lock = threading.Lock()
@@ -607,8 +596,8 @@ class SweepJob:
             self.error = None
         try:
             outcome = sweep(self.points, jobs=self.jobs, progress=False,
-                            scheduler=self.scheduler, observer=self._observe,
-                            cancel=self._cancel, events=self.events)
+                            observer=self._observe, cancel=self._cancel,
+                            events=self.events)
         except SweepCancelled as exc:
             with self._lock:
                 self.state, self.error = "cancelled", str(exc)

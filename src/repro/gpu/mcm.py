@@ -149,10 +149,11 @@ class _TraceMemo:
 
     One entry per :func:`cta_trace_key` — exactly the inputs of
     :func:`build_cta_traces`.  A sweep worker that simulates several
-    configurations of one app (the affinity scheduler routes them to the
-    same process) generates the app's CTA offset arrays once and replays
-    them for every config.  ``REPRO_TRACE_MEMO`` sets the entry count
-    (default 32; ``0`` disables memoization).  Entries are shared across
+    configurations of one app (the sweep plans each app's affinity group
+    contiguously, and a worker claims a whole group) generates the app's
+    CTA offset arrays once and replays them for every config.
+    ``REPRO_TRACE_MEMO`` sets the entry count (default 32; ``0`` disables
+    memoization).  Entries are shared across
     simulations and must never be mutated — nothing downstream does (the
     VPN mapping copies into fresh arrays).
     """

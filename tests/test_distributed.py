@@ -1,4 +1,4 @@
-"""Distributed sweep backend: wire codec, claim queue, reclaim, contention."""
+"""The sweep's claim queue: wire codec, claims, reclaim, contention."""
 
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from repro.experiments.distributed import (
 )
 from repro.experiments.runner import _serialize
 from repro.experiments.sweep import (
-    SCHEDULERS,
+    PlannedPoint,
     SweepPoint,
     SweepStats,
     sweep,
@@ -129,6 +129,28 @@ class TestQueueProtocol:
         assert events and events[0]["event"] == "group_reclaimed"
         assert events[0]["worker"] == "dead-worker"
 
+    def test_harvest_ignores_unrenamed_marker_temp_files(self, cache):
+        """A worker writes each done marker to a temp name, then renames
+        it.  A complete temp file seen before the rename must not count
+        as a second finish, or the coordinator stops a point short."""
+        point = _points()[0]
+        runner_mod.run_point(point.config, point.app, point.scale)
+        d = self._sweep_dir(cache)
+        marker = {"digest": runner_mod.point_digest(point.key()),
+                  "index": 0, "gid": "g1", "worker": "w1", "host": "h1",
+                  "seconds": 0.5, "cache_hit": False,
+                  "memo_hits": 0, "memo_misses": 0}
+        for name in ("g1.00000.4242.tmp", "g1.00000.json"):
+            (d / "done" / name).write_text(json.dumps(marker))
+        shipped = {0: PlannedPoint(key=point.key(), point=point,
+                                   est_seconds=1.0, source="default")}
+        seen: set[str] = set()
+        results: dict = {}
+        assert DistributedBackend()._harvest(d, shipped, seen, set(),
+                                             results, SweepStats(), None)
+        assert seen == {"g1.00000.json"}
+        assert list(results) == [point.key()]
+
     def test_claim_stale_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_CLAIM_STALE", "7.5")
         assert claim_stale_s() == 7.5
@@ -151,30 +173,42 @@ class TestQueueProtocol:
 
 
 class TestDistributedSweep:
+    """Sweeps forced onto the claim queue with ``REPRO_DISTRIBUTED_LOCAL``
+    (set, it keeps the queue even where the width would be 1)."""
+
+    @pytest.fixture(autouse=True)
+    def _queue(self, cache, monkeypatch):
+        monkeypatch.setenv("REPRO_DISTRIBUTED_LOCAL", "1")
+
     def test_matches_serial_bit_for_bit(self, tmp_path, monkeypatch):
         monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
         caches = {}
-        for scheduler in ("serial", "distributed"):
-            cache = tmp_path / scheduler
+        for path in ("serial", "distributed"):
+            if path == "serial":
+                monkeypatch.delenv("REPRO_DISTRIBUTED_LOCAL")
+            else:
+                monkeypatch.setenv("REPRO_DISTRIBUTED_LOCAL", "2")
+            cache = tmp_path / path
             monkeypatch.setenv("REPRO_CACHE_DIR", str(cache))
-            out = sweep(_points(), jobs=2, progress=False,
-                        scheduler=scheduler)
+            out = sweep(_points(), jobs=2 if path == "distributed" else 1,
+                        progress=False)
             assert all(r is not None for r in out.results)
-            caches[scheduler] = {p.name: p.read_bytes()
-                                 for p in cache.glob("*.json")}
+            caches[path] = {p.name: p.read_bytes()
+                            for p in cache.glob("*.json")}
         assert caches["serial"] == caches["distributed"]
         assert len(caches["serial"]) == 4
 
     def test_second_run_is_all_cache_hits(self, cache):
         points = _points()
-        sweep(points, jobs=2, progress=False, scheduler="distributed")
-        out = sweep(points, jobs=2, progress=False, scheduler="distributed")
+        sweep(points, jobs=2, progress=False)
+        out = sweep(points, jobs=2, progress=False)
         assert out.stats.cached == 4
         assert out.stats.simulated == 0
 
     def test_queue_dir_is_cleaned_up(self, cache):
-        sweep(_points()[:1], jobs=1, progress=False,
-              scheduler="distributed")
+        events: list[dict] = []
+        sweep(_points()[:1], jobs=1, progress=False, events=events.append)
+        assert any(e["event"] == "queue_published" for e in events)
         queue = cache / "meta" / "queue"
         assert not queue.exists() or not list(queue.iterdir())
 
@@ -182,7 +216,7 @@ class TestDistributedSweep:
                                                      monkeypatch):
         monkeypatch.setenv("REPRO_HOST_ID", "coordinator-host")
         point = _points()[0]
-        sweep([point], jobs=1, progress=False, scheduler="distributed")
+        sweep([point], jobs=1, progress=False)
         entry = runner_mod.load_timings()[
             runner_mod.point_digest(point.key())]
         # The local helper forks from this process, so it shares the
@@ -200,44 +234,58 @@ class TestDistributedSweep:
                             boom)
         with pytest.raises(RuntimeError,
                            match="injected point failure"):
-            sweep(_points()[:1], jobs=1, progress=False,
-                  scheduler="distributed")
+            sweep(_points()[:1], jobs=1, progress=False)
 
-    def test_requires_a_writable_cache(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_CACHE", "1")
-        with pytest.raises(RuntimeError, match="shared result cache"):
-            sweep(_points()[:1], jobs=1, progress=False,
-                  scheduler="distributed")
+    def test_requires_a_writable_cache(self, tmp_path, monkeypatch):
+        """The queue lives in the cache: with none writable, the sweep
+        runs inline instead of failing."""
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")   # a *file*: mkdir below it must fail
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(blocker / "cache"))
+        events: list[dict] = []
+        with pytest.warns(RuntimeWarning, match="not writable"):
+            out = sweep(_points()[:2], jobs=2, progress=False,
+                        events=events.append)
+        assert all(r is not None for r in out.results)
+        assert out.stats.simulated == 2
+        assert not any(e["event"] == "queue_published" for e in events)
 
     def test_events_cover_publish_and_finish(self, cache):
         events: list[dict] = []
-        sweep(_points()[:2], jobs=1, progress=False,
-              scheduler="distributed", events=events.append)
+        sweep(_points()[:2], jobs=1, progress=False, events=events.append)
         kinds = [e["event"] for e in events]
         assert "queue_published" in kinds
         assert kinds.count("point_finish") == 2
         published = next(e for e in events
                          if e["event"] == "queue_published")
         assert published["points"] == 2
+        starts = [e for e in events if e["event"] == "point_start"]
+        assert starts and all("worker" not in e for e in starts)
+        finishes = [e for e in events if e["event"] == "point_finish"]
+        assert all(":local-0-" in e["worker"] for e in finishes)
 
 
-def _sweep_same_point(scheduler: str, cache_dir: str, out_path: str) -> None:
+def _sweep_same_point(jobs: int, cache_dir: str, out_path: str) -> None:
     """Subprocess entry: sweep one fixed point, dump its payload."""
     os.environ["REPRO_CACHE_DIR"] = cache_dir
     out = sweep([SweepPoint(configs.baseline(), "gemv", SCALE)],
-                jobs=1, progress=False, scheduler=scheduler)
+                jobs=jobs, progress=False)
     Path(out_path).write_text(
         json.dumps(_serialize(out.results[0]), sort_keys=True))
 
 
 class TestConcurrentSameKeyFill:
-    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    @pytest.mark.parametrize("path", ["serial", "distributed"])
     def test_two_processes_filling_one_key_simulate_once(
-            self, cache, tmp_path, monkeypatch, scheduler):
+            self, cache, tmp_path, monkeypatch, path):
         """Two independent sweeps race on the *same* cache key: the
         per-key lockfile (with its capped backoff) must collapse them to
-        one simulation, for every backend — including two distributed
-        coordinators whose worker fleets collide on a key."""
+        one simulation, inline (``jobs=1``) and on the claim queue — two
+        coordinators whose helper fleets collide on a key."""
+        jobs = 1
+        if path == "distributed":
+            jobs = 2
+            monkeypatch.setenv("REPRO_DISTRIBUTED_LOCAL", "2")
         log = tmp_path / "simulations.log"
 
         real_run = McmGpuSimulator.run
@@ -254,7 +302,7 @@ class TestConcurrentSameKeyFill:
         ctx = multiprocessing.get_context("fork")
         outs = [tmp_path / f"result-{i}.json" for i in range(2)]
         procs = [ctx.Process(target=_sweep_same_point,
-                             args=(scheduler, str(cache), str(out)))
+                             args=(jobs, str(cache), str(out)))
                  for out in outs]
         for proc in procs:
             proc.start()

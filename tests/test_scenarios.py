@@ -224,24 +224,31 @@ def test_same_scenario_twice_bit_identical():
         "lifecycle scheduling or teardown consumed unordered state")
 
 
-@pytest.mark.parametrize("scheduler", ["serial", "flat", "affinity"])
+@pytest.mark.parametrize("path", ["serial", "distributed"])
 def test_scenario_payload_identical_across_schedulers(
-        scheduler, tmp_path, monkeypatch):
-    """Same seed ⇒ byte-identical cache payloads under every sweep
-    scheduler (scenario workloads cross process boundaries intact)."""
+        path, tmp_path, monkeypatch):
+    """Same seed ⇒ byte-identical cache payloads on both sweep paths:
+    inline (``jobs=1``) and the claim queue (``jobs=2``, two local
+    helpers).  Scenario workloads are objects, not app names, so the
+    queue's coordinator runs them itself."""
     from repro.experiments.sweep import SweepPoint, sweep
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / scheduler))
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / path))
     monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+    jobs = 1
+    monkeypatch.delenv("REPRO_DISTRIBUTED_LOCAL", raising=False)
+    if path == "distributed":
+        jobs = 2
+        monkeypatch.setenv("REPRO_DISTRIBUTED_LOCAL", "2")
     workload = scenario_workload("churn-min")
     points = [SweepPoint(configs.barre(seed=0), workload, scale=1.0),
               SweepPoint(configs.fbarre(seed=0), workload, scale=1.0)]
-    outcome = sweep(points, jobs=2, progress=False, scheduler=scheduler)
+    outcome = sweep(points, jobs=jobs, progress=False)
     shas = [_payload_sha(r) for r in outcome.results]
     inline = [_payload_sha(
         McmGpuSimulator(p.config, [workload], trace_scale=1.0).run())
         for p in points]
     assert shas == inline, (
-        f"{scheduler} scheduler payloads differ from in-process runs")
+        f"{path} sweep payloads differ from in-process runs")
 
 
 # -- pinned regression: smallest teardown-mid-walk case --------------------

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing.process
+import os
 import re
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -25,7 +27,6 @@ from repro.experiments.runner import (
     store_point,
 )
 from repro.experiments.sweep import (
-    SCHEDULERS,
     SweepPoint,
     _pool_width,
     _Progress,
@@ -39,12 +40,28 @@ from repro.gpu.mcm import McmGpuSimulator
 REPO = Path(__file__).resolve().parents[1]
 SCALE = 0.05
 
+#: The sweep's two execution paths and how to select them: inline
+#: (``jobs=1``) and the claim queue (``jobs=2`` with two local helpers,
+#: which forces the queue even on a one-core machine).
+PATHS = {"serial": (1, None), "distributed": (2, "2")}
+
+
+def _select_path(monkeypatch, path: str) -> int:
+    """Set the environment for one of :data:`PATHS`; returns its jobs."""
+    jobs, helpers = PATHS[path]
+    if helpers is None:
+        monkeypatch.delenv("REPRO_DISTRIBUTED_LOCAL", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_DISTRIBUTED_LOCAL", helpers)
+    return jobs
+
 
 @pytest.fixture
 def cache(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
     monkeypatch.delenv("REPRO_JOBS", raising=False)
+    monkeypatch.delenv("REPRO_DISTRIBUTED_LOCAL", raising=False)
     return tmp_path
 
 
@@ -148,6 +165,23 @@ class TestCliSweep:
         with pytest.raises(SystemExit):
             main(["sweep"])
 
+    def test_sweep_has_no_scheduler_option(self, cache, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--schemes", "baseline", "--apps", "gemv",
+                  "--scheduler", "serial"])
+        assert exc.value.code == 2     # argparse usage error
+        assert "unrecognized arguments: --scheduler" in \
+            capsys.readouterr().err
+
+    def test_dry_run_prints_group_order(self, cache, capsys):
+        assert main(["sweep", "--schemes", "baseline,fbarre",
+                     "--apps", "gemv,fft", "--scale", str(SCALE),
+                     "--dry-run"]) == 0
+        lines = [line.split(":")[0].strip()
+                 for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("  group ")]
+        assert lines == ["group 0", "group 0", "group 1", "group 1"]
+
     def test_figure_command_prewarms_in_parallel(self, cache, capsys):
         assert main(["figure", "fig05", "--scale", str(SCALE),
                      "--jobs", "2"]) == 0
@@ -222,33 +256,34 @@ def _scheme_points() -> list[SweepPoint]:
 
 class TestSchedulerDeterminism:
     def test_all_schedulers_bit_identical(self, tmp_path, monkeypatch):
-        """Every registered scheduler produces the same payloads and files."""
+        """Inline and the claim queue produce the same payloads and files."""
         monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
         payloads, files = {}, {}
-        for scheduler in SCHEDULERS:
-            cache = tmp_path / scheduler
+        for path in PATHS:
+            cache = tmp_path / path
             monkeypatch.setenv("REPRO_CACHE_DIR", str(cache))
-            out = sweep(_scheme_points(), jobs=2, progress=False,
-                        scheduler=scheduler)
+            events: list[dict] = []
+            out = sweep(_scheme_points(), jobs=_select_path(monkeypatch, path),
+                        progress=False, events=events.append)
             assert out.stats.simulated == 4
-            payloads[scheduler] = [json.dumps(_serialize(r), sort_keys=True)
-                                   for r in out.results]
-            files[scheduler] = {p.name: p.read_bytes()
-                                for p in cache.glob("*.json")}
-        reference = SCHEDULERS[0]
-        assert len(files[reference]) == 4
-        for scheduler in SCHEDULERS[1:]:
-            assert payloads[scheduler] == payloads[reference], scheduler
-            assert files[scheduler] == files[reference], scheduler
+            queued = any(e["event"] == "queue_published" for e in events)
+            assert queued == (path == "distributed"), path
+            payloads[path] = [json.dumps(_serialize(r), sort_keys=True)
+                              for r in out.results]
+            files[path] = {p.name: p.read_bytes()
+                           for p in cache.glob("*.json")}
+        assert len(files["serial"]) == 4
+        assert payloads["distributed"] == payloads["serial"]
+        assert files["distributed"] == files["serial"]
 
     def test_affinity_sweep_matches_golden_digests(self, cache):
-        """Cache files written through the worker pool are byte-for-byte the
+        """Cache files written by a default sweep are byte-for-byte the
         golden payloads — the sweep engine cannot perturb a simulation."""
         from tests.test_golden_runs import GOLDEN_DIR, POINTS
         names = ["baseline-gemv", "fbarre-gemv", "fbarre-fft", "mgvm-gemv"]
         points = [SweepPoint(POINTS[name][0](), POINTS[name][2], SCALE)
                   for name in names]
-        sweep(points, jobs=2, progress=False, scheduler="affinity")
+        sweep(points, progress=False)
         for name, point in zip(names, points):
             golden = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
             cache_file = runner_mod.point_path(point.config, point.abbr,
@@ -258,12 +293,71 @@ class TestSchedulerDeterminism:
             assert got == golden["cache_payload_sha256"], (
                 f"{name}: sweep-written cache file diverges from golden")
 
-    def test_rejects_unknown_scheduler(self, cache, monkeypatch):
-        with pytest.raises(ValueError, match="unknown scheduler"):
-            sweep(_scheme_points(), progress=False, scheduler="bogus")
-        monkeypatch.setenv("REPRO_SCHEDULER", "bogus")
-        with pytest.raises(ValueError, match="unknown scheduler"):
-            sweep(_scheme_points(), progress=False)
+    def test_rejects_unknown_scheduler(self, cache):
+        """There is no scheduler to choose: the keyword itself is gone."""
+        with pytest.raises(TypeError, match="scheduler"):
+            sweep(_scheme_points(), progress=False, scheduler="serial")
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_width_one_sweep_spawns_nothing(self, cache, monkeypatch, cpus):
+        """``min(jobs, misses, cores) == 1`` runs inline: no process, no
+        claim-queue directory."""
+        monkeypatch.setattr("os.cpu_count", lambda: cpus)
+        started = []
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                            lambda proc: started.append(proc))
+        jobs = 4 if cpus == 1 else 1
+        out = sweep(_scheme_points(), jobs=jobs, progress=False)
+        assert out.stats.simulated == 4
+        assert out.stats.jobs == 1
+        assert started == []
+        assert not (cache / "meta" / "queue").exists()
+
+    def test_no_cache_sweep_runs_inline_and_matches_serial(
+            self, cache, monkeypatch):
+        """Without a writable cache there is nowhere to put a claim queue:
+        a ``jobs=2`` sweep runs inline and returns the serial results."""
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+        serial = sweep(_scheme_points(), jobs=1, progress=False)
+        monkeypatch.setenv("REPRO_DISTRIBUTED_LOCAL", "2")
+        events: list[dict] = []
+        wide = sweep(_scheme_points(), jobs=2, progress=False,
+                     events=events.append)
+        assert [_serialize(r) for r in wide.results] == \
+            [_serialize(r) for r in serial.results]
+        assert wide.stats.simulated == 4 and wide.stats.jobs == 1
+        assert not any(e["event"] == "queue_published" for e in events)
+        assert not (cache / "meta").exists()
+
+    def test_worker_side_cache_hits_settle_the_sweep(self, cache,
+                                                     monkeypatch):
+        """A claim-queue worker can find a point already cached that the
+        coordinator's dedupe missed (another sweep filled it in between).
+        The run must still end at done == total, and count no
+        simulation for it."""
+        points = _scheme_points()
+        sweep(points, jobs=1, progress=False)        # fill the cache
+        coordinator = os.getpid()
+        real_cached_result = runner_mod.cached_result
+        dedupe_calls = {"left": len(points)}
+
+        def racy_cached_result(*args, **kwargs):
+            # The coordinator's dedupe pass misses every point; its later
+            # loads (and the forked helpers' probes) see the cache.
+            if os.getpid() == coordinator and dedupe_calls["left"]:
+                dedupe_calls["left"] -= 1
+                return None
+            return real_cached_result(*args, **kwargs)
+
+        monkeypatch.setattr(runner_mod, "cached_result", racy_cached_result)
+        snaps: list[dict] = []
+        jobs = _select_path(monkeypatch, "distributed")
+        out = sweep(points, jobs=jobs, progress=False, observer=snaps.append)
+        assert all(r is not None for r in out.results)
+        assert out.stats.cached == 0
+        assert out.stats.simulated == 0
+        assert snaps[-1]["done"] == snaps[-1]["total"] == len(points)
+        assert "0 simulated" in out.stats.describe()
 
 
 class TestSweepStats:
@@ -287,39 +381,22 @@ class TestSweepStats:
         assert "trace-memo" in out.stats.describe()
 
     def test_pool_width_clamps_to_cores(self, monkeypatch):
-        monkeypatch.delenv("REPRO_OVERSUBSCRIBE", raising=False)
         monkeypatch.setattr("os.cpu_count", lambda: 2)
         assert _pool_width(jobs=8, misses=8) == 2
-        monkeypatch.setenv("REPRO_OVERSUBSCRIBE", "1")
-        assert _pool_width(jobs=8, misses=8) == 8
-        assert _pool_width(jobs=8, misses=3) == 3
-
-    def test_steals_explicitly_zero_for_non_stealing_schedulers(
-            self, tmp_path, monkeypatch):
-        """serial/flat report steals=0 as a checked invariant, not by
-        accident of initialization — so the widened affinity wire tuple
-        (or the distributed reclaim counter) can't silently drift."""
-        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-        # Force a real pool for flat even on a one-core machine.
-        monkeypatch.setenv("REPRO_OVERSUBSCRIBE", "1")
-        for scheduler in ("serial", "flat"):
-            cache = tmp_path / scheduler
-            monkeypatch.setenv("REPRO_CACHE_DIR", str(cache))
-            out = sweep(_scheme_points(), jobs=2, progress=False,
-                        scheduler=scheduler)
-            assert out.stats.steals == 0, scheduler
-            assert "stolen" not in out.stats.describe()
+        assert _pool_width(jobs=8, misses=1) == 1
+        assert _pool_width(jobs=1, misses=8) == 1
 
     def test_steals_is_an_int_for_every_scheduler(self, tmp_path,
                                                   monkeypatch):
         monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-        for scheduler in SCHEDULERS:
-            cache = tmp_path / scheduler
+        for path in PATHS:
+            cache = tmp_path / path
             monkeypatch.setenv("REPRO_CACHE_DIR", str(cache))
             out = sweep([SweepPoint(configs.baseline(), "gemv", SCALE)],
-                        jobs=2, progress=False, scheduler=scheduler)
-            assert isinstance(out.stats.steals, int), scheduler
-            assert out.stats.steals >= 0, scheduler
+                        jobs=_select_path(monkeypatch, path),
+                        progress=False)
+            assert out.stats.steals == 0, path
+            assert "stolen" not in out.stats.describe()
 
 
 class TestCostModel:
@@ -387,7 +464,7 @@ class TestCostModel:
                   for app in ("gemv", "fft", "atax")]
         record_timings([(p.key(), p.abbr, cost) for p, cost in
                         zip(points, (0.5, 9.0, 3.0))])
-        plan = plan_misses([(p.key(), p) for p in points], workers=1)
+        plan = plan_misses([(p.key(), p) for p in points])
         assert [pp.point.abbr for pp in plan] == ["fft", "atax", "gemv"]
         assert all(pp.source == "measured" for pp in plan)
         assert [pp.est_seconds for pp in plan] == [9.0, 3.0, 0.5]
@@ -400,7 +477,7 @@ class TestCostModel:
         # App never measured: falls back to the suite median.
         stranger = SweepPoint(configs.baseline(), "fft", SCALE)
         plan = plan_misses([(sibling.key(), sibling),
-                            (stranger.key(), stranger)], workers=1)
+                            (stranger.key(), stranger)])
         by_abbr = {pp.point.abbr: pp for pp in plan}
         assert by_abbr["gemv"].source == "app-median"
         assert by_abbr["gemv"].est_seconds == 2.0
@@ -408,7 +485,7 @@ class TestCostModel:
 
     def test_plan_default_cost_when_no_history(self, cache):
         point = SweepPoint(configs.baseline(), "gemv", SCALE)
-        plan = plan_misses([(point.key(), point)], workers=1)
+        plan = plan_misses([(point.key(), point)])
         assert plan[0].source == "default"
 
     def test_dry_run_exposes_plan(self, cache):
@@ -417,15 +494,19 @@ class TestCostModel:
         assert all(r is None for r in out.results)
         assert out.stats.simulated == 0
 
-    def test_affinity_groups_stay_on_one_worker(self, cache):
-        plan = plan_misses([(p.key(), p) for p in _scheme_points()],
-                           workers=2)
-        worker_of: dict[tuple, set[int]] = {}
-        for pp in plan:
-            worker_of.setdefault(pp.point.group(), set()).add(pp.worker)
-        assert all(len(ws) == 1 for ws in worker_of.values()), (
-            "an affinity group was split across workers")
-        assert len(worker_of) == 2   # gemv and fft groups
+    def test_affinity_groups_are_contiguous_in_plan(self, cache):
+        points = _scheme_points()
+        record_timings([(p.key(), p.abbr, cost) for p, cost in
+                        zip(points, (1.0, 4.0, 2.0, 5.0))])
+        plan = plan_misses([(p.key(), p) for p in points])
+        groups = [pp.point.group() for pp in plan]
+        runs = [g for i, g in enumerate(groups)
+                if i == 0 or g != groups[i - 1]]
+        assert len(runs) == len(set(groups)) == 2, (
+            "an affinity group was split in the plan")
+        # Costliest group first (fft: 4+5 > gemv: 1+2), costliest point
+        # first within each group.
+        assert [pp.est_seconds for pp in plan] == [5.0, 4.0, 2.0, 1.0]
 
 
 class TestProgressEta:
