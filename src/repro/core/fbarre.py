@@ -22,12 +22,12 @@ from repro.common.config import CuckooConfig
 from repro.common.errors import ConfigError
 from repro.common.stats import StatSet
 from repro.common.trace import NULL_TRACER
-from repro.filters.cuckoo import CuckooFilter
+from repro.filters.cuckoo import CuckooFilter, ItemRows, RowsMemo
 from repro.iommu.pec import PecLogic
 from repro.memsim.tlb import Tlb, TlbEntry
 
 #: Per-VPN cuckoo ``(fp, i1, i2)``, index for index with a VPN tuple.
-Rows = tuple[tuple[int, int, int], ...]
+Rows = tuple[ItemRows, ...]
 
 
 @dataclass(slots=True)
@@ -60,7 +60,8 @@ def require_shared_filter_geometry(
     """Reject agents whose LCF and RCFs do not all share one CuckooConfig.
 
     :attr:`FilterUpdate.rows` are hashed by the sender and applied by every
-    receiver, which is only exact when all filters have one geometry.
+    receiver, and the simulator's filters share one rows memo; both are
+    only exact when all filters have one geometry.
     """
     configs = {filt.config for agent in agents
                for filt in (agent.lcf, *agent.rcfs.values())}
@@ -77,7 +78,8 @@ class CoalescingAgent:
                  cuckoo: CuckooConfig, pec: PecLogic, l2: Tlb, *,
                  max_merge: int = 1,
                  send_update: Callable[[int, FilterUpdate], None]
-                 | None = None) -> None:
+                 | None = None,
+                 rows_memo: RowsMemo | None = None) -> None:
         self.chiplet_id = chiplet_id
         self.num_chiplets = num_chiplets
         self.pec = pec
@@ -89,12 +91,15 @@ class CoalescingAgent:
         self.tracer = NULL_TRACER
         self.stats = StatSet(f"fbarre.{chiplet_id}")
         self._counters = self.stats.counters
-        self.lcf = CuckooFilter(cuckoo)
+        #: One rows memo for the LCF and every RCF (the simulator passes one
+        #: for all its agents), so each VPN is hashed once.
+        memo: RowsMemo = rows_memo if rows_memo is not None else {}
+        self.lcf = CuckooFilter(cuckoo, memo)
         #: Row hash of this simulator's filter geometry, bound to the inner
         #: filter so the invariant checker's shadows never see it.
         self._rows_of = self.lcf.rows
         self.rcfs: dict[int, CuckooFilter] = {
-            peer: CuckooFilter(cuckoo)
+            peer: CuckooFilter(cuckoo, memo)
             for peer in range(num_chiplets) if peer != chiplet_id}
         #: Peers in ascending id order: the RCF scan and update fan-out order.
         self._peers = tuple(sorted(self.rcfs))
@@ -118,8 +123,7 @@ class CoalescingAgent:
         """The entry's coalescing VPNs and their cuckoo rows, cached on it.
 
         Computed on the entry's first insert; the matching eviction and
-        every peer's RCF update reuse both, so each sibling is hashed once
-        per TLB entry.
+        every peer's RCF update reuse both.
         """
         if entry.siblings is not None:
             return entry.siblings, entry.sibling_rows
@@ -139,13 +143,13 @@ class CoalescingAgent:
     def _on_l2_insert(self, entry: TlbEntry) -> None:
         siblings, rows = self._sibling_vpns(entry)
         # LCF reflects actual TLB contents: exact VPN only (Section V-A2).
-        if not self.lcf.insert(entry.vpn, rows[siblings.index(entry.vpn)]):
+        if not self.lcf.insert(entry.vpn):
             self._counters["lcf_insert_drops"] += 1
         self._broadcast("add", entry.pasid, siblings, rows)
 
     def _on_l2_evict(self, entry: TlbEntry) -> None:
         siblings, rows = self._sibling_vpns(entry)
-        self.lcf.delete(entry.vpn, rows[siblings.index(entry.vpn)])
+        self.lcf.delete(entry.vpn)
         self._broadcast("delete", entry.pasid, siblings, rows)
 
     def _broadcast(self, command: str, pasid: int, siblings: tuple[int, ...],
@@ -161,21 +165,13 @@ class CoalescingAgent:
     def apply_update(self, update: FilterUpdate) -> None:
         """A peer's filter-update batch arrived (best effort, no ack)."""
         rcf = self.rcfs[update.sender]
-        vpns = update.vpns
-        rows = update.rows
         if update.command == "add":
-            insert = rcf.insert
-            drops = 0
-            for vpn, vpn_rows in zip(vpns, rows, strict=True):
-                if not insert(vpn, vpn_rows):
-                    drops += 1
+            drops = rcf.insert_many(update.vpns, update.rows)
             if drops:
                 self._counters["rcf_insert_drops"] += drops
         else:
-            delete = rcf.delete
-            for vpn, vpn_rows in zip(vpns, rows, strict=True):
-                delete(vpn, vpn_rows)
-        self._counters["updates_applied"] += len(vpns)
+            rcf.delete_many(update.vpns, update.rows)
+        self._counters["updates_applied"] += len(update.vpns)
 
     # -- translation paths -----------------------------------------------------
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import gc
 import hashlib
 import json
 import os
@@ -546,6 +547,21 @@ def store_point(config: SimConfig, app: str | Workload, result: SimResult,
     return path
 
 
+def _simulate(config: SimConfig, workloads: list[Workload],
+              scale: float) -> SimResult:
+    """Run one simulation and reclaim the simulator before returning.
+
+    A finished :class:`McmGpuSimulator` is one large reference cycle
+    (components call back into each other), so only a full cyclic
+    collection frees it.  Without one here, a process that runs point
+    after point holds several dead simulators at once, and its peak RSS
+    depends on when the collector happens to run.
+    """
+    result = McmGpuSimulator(config, workloads, trace_scale=scale).run()
+    gc.collect()
+    return result
+
+
 def run_point(config: SimConfig, app: str | Workload,
               scale: float | None = None,
               workload_tag: str = "") -> SimResult:
@@ -567,7 +583,7 @@ def run_point(config: SimConfig, app: str | Workload,
     path = _point_path(config, workload.abbr, scale, workload_tag)
     return _fill_point(
         path,
-        lambda: McmGpuSimulator(config, [workload], trace_scale=scale).run(),
+        lambda: _simulate(config, [workload], scale),
         key_meta=lambda: (config, workload.abbr, scale, workload_tag))
 
 
@@ -588,8 +604,7 @@ def run_pair(config: SimConfig, app_a: str, app_b: str,
         first = get_workload(app_a)
         second = get_workload(app_b)
         second.pasid = 1
-        return McmGpuSimulator(config, [first, second],
-                               trace_scale=scale).run()
+        return _simulate(config, [first, second], scale)
 
     path = _point_path(config, app_a, scale, f"pair-{app_b}")
     return _fill_point(path, compute,

@@ -27,6 +27,7 @@ from repro.common.stats import Histogram, LatencyHistogram
 from repro.common.trace import NULL_TRACER, RecordingTracer
 from repro.core.fbarre import CoalescingAgent, require_shared_filter_geometry
 from repro.core.translation import AtsHandler, FBarreHandler, LeastHandler
+from repro.filters.cuckoo import RowsMemo
 from repro.gmmu.gmmu import Gmmu, GmmuHandler
 from repro.gpu.chiplet import Chiplet
 from repro.gpu.memory import MemoryFabric
@@ -378,6 +379,10 @@ class McmGpuSimulator:
 
         self.chiplets: list[Chiplet] = []
         self.agents: dict[int, CoalescingAgent] = {}
+        #: Cuckoo rows of every VPN any of this simulator's LCFs/RCFs has
+        #: seen: one geometry (checked below), so one hash per VPN.  Owned
+        #: here, so it is freed with the simulator.
+        self.filter_rows_memo: RowsMemo = {}
         fbarre_handlers: dict[int, FBarreHandler] = {}
         least_handlers: dict[int, LeastHandler] = {}
         for cid in range(cfg.num_chiplets):
@@ -395,8 +400,7 @@ class McmGpuSimulator:
                 pec.tracer = self.tracer
                 agent = CoalescingAgent(
                     cid, cfg.num_chiplets, cfg.cuckoo, pec, l2,
-                    max_merge=merge,
-                    send_update=self._make_update_sender(cid))
+                    max_merge=merge, rows_memo=self.filter_rows_memo)
                 agent.tracer = self.tracer
                 self.agents[cid] = agent
                 handler = FBarreHandler(
@@ -418,6 +422,8 @@ class McmGpuSimulator:
             self.chiplets.append(chiplet)
         for cid, handler in fbarre_handlers.items():
             handler.peers = fbarre_handlers
+        for cid, agent in self.agents.items():
+            agent.send_update = self._make_update_sender(cid)
         require_shared_filter_geometry(self.agents.values())
         for cid, handler in least_handlers.items():
             handler.peer_l2s = {c.chiplet_id: c.l2 for c in self.chiplets
@@ -493,11 +499,15 @@ class McmGpuSimulator:
         return pasid in self.spaces and self.spaces.get(pasid).is_mapped(vpn)
 
     def _make_update_sender(self, src: int):
+        """``send_update`` for agent ``src``: each peer's mesh link and
+        ``apply_update`` resolved once, so a packet costs one link send."""
+        routes = {peer: (self.sharing_mesh.link(src, peer).send,
+                         agent.apply_update)
+                  for peer, agent in self.agents.items() if peer != src}
+
         def send(peer: int, update) -> None:
-            self.sharing_mesh.send(
-                src, peer, update,
-                lambda u: self.agents[peer].apply_update(u),
-                packets=len(update))
+            link_send, apply_update = routes[peer]
+            link_send(update, apply_update, len(update.vpns))
         return send
 
     def _route_response(self, response) -> None:

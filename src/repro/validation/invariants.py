@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING
 from repro.common.errors import InvariantViolation, TranslationError
 from repro.common.stats import StatSet
 from repro.common.trace import RecordingTracer
-from repro.filters.cuckoo import CuckooFilter
+from repro.filters.cuckoo import CuckooFilter, ItemRows, cuckoo_rows
 from repro.memsim.tlb import MshrFile, Tlb
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -62,6 +62,11 @@ class CheckedCuckooFilter:
     legitimate best-effort behaviour, so the proxy demotes one matching
     protected key to unprotected instead of reporting it later as a false
     negative.
+
+    Every row the inner filter is handed or reads from its memo is compared
+    against an unmemoized :func:`~repro.filters.cuckoo.cuckoo_rows`, so a
+    corrupt memo entry or a wrong shipped row is a violation, not a silent
+    mis-placement.
     """
 
     def __init__(self, inner: CuckooFilter, name: str,
@@ -71,7 +76,7 @@ class CheckedCuckooFilter:
         self.stats = stats if stats is not None else StatSet(f"checked.{name}")
         self._protected: Counter[int] = Counter()
         #: key -> (fingerprint, bucket1, bucket2), for alias demotion.
-        self._where: dict[int, tuple[int, int, int]] = {}
+        self._where: dict[int, ItemRows] = {}
 
     # -- the CuckooFilter surface the agent uses ---------------------------
     #
@@ -82,22 +87,26 @@ class CheckedCuckooFilter:
     def config(self):
         return self._inner.config
 
-    def rows(self, item: int) -> tuple[int, int, int]:
-        return self._inner.rows(item)
+    def rows(self, item: int) -> ItemRows:
+        return self._checked_rows("rows", item, None)
 
     def _checked_rows(self, op: str, item: int,
-                      rows: tuple[int, int, int] | None
-                      ) -> tuple[int, int, int]:
-        """``item``'s true rows; shipped ``rows`` must agree with them."""
-        actual = self._inner.rows(item)
-        if rows is not None and rows != actual:
-            raise InvariantViolation(
-                f"filter {self.name}: {op}({item:#x}) shipped rows {rows} "
-                f"but the filter hashes it to {actual}")
-        return actual
+                      rows: ItemRows | None) -> ItemRows:
+        """``item``'s rows: shipped ``rows``, else the inner filter's memo.
 
-    def insert(self, item: int,
-               rows: tuple[int, int, int] | None = None) -> bool:
+        Either must equal a fresh, unmemoized hash of ``item``.
+        """
+        source = "shipped"
+        if rows is None:
+            source, rows = "memoized", self._inner.rows(item)
+        actual = cuckoo_rows(item, self._inner.config)
+        if rows != actual:
+            raise InvariantViolation(
+                f"filter {self.name}: {op}({item:#x}) {source} rows {rows} "
+                f"but the filter hashes it to {actual}")
+        return rows
+
+    def insert(self, item: int, rows: ItemRows | None = None) -> bool:
         rows = self._checked_rows("insert", item, rows)
         ok = self._inner.insert(item, rows)
         if ok:
@@ -105,8 +114,14 @@ class CheckedCuckooFilter:
             self._where[item] = rows
         return ok
 
-    def delete(self, item: int,
-               rows: tuple[int, int, int] | None = None) -> bool:
+    def insert_many(self, items, rows) -> int:
+        """Per-item :meth:`insert`, so every item passes the shadow."""
+        if len(rows) != len(items):
+            raise ValueError(f"{len(items)} items but {len(rows)} rows")
+        return sum(not self.insert(item, item_rows)
+                   for item, item_rows in zip(items, rows))
+
+    def delete(self, item: int, rows: ItemRows | None = None) -> bool:
         rows = self._checked_rows("delete", item, rows)
         ok = self._inner.delete(item, rows)
         if self._protected.get(item, 0) > 0:
@@ -121,7 +136,15 @@ class CheckedCuckooFilter:
             self._demote_alias(rows)
         return ok
 
+    def delete_many(self, items, rows) -> int:
+        """Per-item :meth:`delete`, so every item passes the shadow."""
+        if len(rows) != len(items):
+            raise ValueError(f"{len(items)} items but {len(rows)} rows")
+        return sum(self.delete(item, item_rows)
+                   for item, item_rows in zip(items, rows))
+
     def contains(self, item: int) -> bool:
+        self._checked_rows("contains", item, None)
         present = self._inner.contains(item)
         self.stats.bump("contains_checks")
         if not present and self._protected.get(item, 0) > 0:
@@ -146,7 +169,7 @@ class CheckedCuckooFilter:
             del self._protected[item]
             self._where.pop(item, None)
 
-    def _demote_alias(self, rows: tuple[int, int, int]) -> None:
+    def _demote_alias(self, rows: ItemRows) -> None:
         fp, i1, i2 = rows
         for key, (kfp, k1, k2) in self._where.items():
             if kfp == fp and {k1, k2} & {i1, i2}:

@@ -1,5 +1,7 @@
 """Experiment harness tests: configs, caching, reporting."""
 
+import gc
+
 import pytest
 
 from repro.common import BackendKind, MappingKind
@@ -12,7 +14,7 @@ from repro.experiments import (
     speedups,
 )
 from repro.experiments.runner import _config_key
-from repro.gpu.mcm import SimResult
+from repro.gpu.mcm import McmGpuSimulator, SimResult
 
 
 class TestConfigs:
@@ -64,6 +66,23 @@ class TestCache:
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
         run_point(configs.baseline(), "gemv", scale=0.05)
         assert not list(tmp_path.glob("*.json"))
+
+    @pytest.mark.parametrize("no_cache", ["", "1"])
+    def test_run_point_reclaims_the_simulator(self, tmp_path, monkeypatch,
+                                              no_cache):
+        """A finished simulator is a reference cycle; run_point frees it
+        itself instead of leaving it to whenever the collector runs."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_NO_CACHE", no_cache)
+        gc.collect()
+        gc.disable()
+        try:
+            run_point(configs.fbarre(), "gemv", scale=0.02)
+            alive = [obj for obj in gc.get_objects()
+                     if isinstance(obj, McmGpuSimulator)]
+        finally:
+            gc.enable()
+        assert not alive
 
 
 class TestReport:

@@ -10,6 +10,7 @@ import pytest
 from repro.common import CuckooConfig, InvariantViolation
 from repro.experiments import configs
 from repro.filters import CuckooFilter
+from repro.filters.cuckoo import cuckoo_rows
 from repro.gpu import McmGpuSimulator
 from repro.validation import (
     CheckedCuckooFilter,
@@ -215,6 +216,47 @@ def test_checker_rejects_filter_update_with_wrong_rows():
                        rows=(agent.rcfs[1].rows(0x51),))
     with pytest.raises(InvariantViolation, match="shipped rows"):
         agent.apply_update(bad)
+
+
+def test_shadow_filter_rejects_poisoned_memo_entry():
+    """A wrong memo entry is caught on every path that reads the memo."""
+    config = CuckooConfig(rows=64, ways=4, fingerprint_bits=12)
+    memo = {9: cuckoo_rows(10, config)}
+    proxy = CheckedCuckooFilter(CuckooFilter(config, memo), "test")
+    for call in (lambda: proxy.insert(9), lambda: proxy.delete(9),
+                 lambda: proxy.contains(9), lambda: proxy.rows(9)):
+        with pytest.raises(InvariantViolation, match="memoized rows"):
+            call()
+    assert len(proxy) == 0
+    # Shipped rows are checked against the cold hash, not the memo.
+    with pytest.raises(InvariantViolation, match="shipped rows"):
+        proxy.insert_many((9,), (memo[9],))
+
+
+def test_checked_run_rejects_poisoned_memo_entry():
+    """The memo can never vouch for itself: a checked run re-hashes."""
+    cfg = configs.fbarre(seed=3)
+    clean = McmGpuSimulator(cfg, [tiny_workload()])
+    clean.run()
+    first_vpn = next(iter(clean.filter_rows_memo))
+    poison = cuckoo_rows(first_vpn + 1, cfg.cuckoo)
+    assert poison != cuckoo_rows(first_vpn, cfg.cuckoo)
+    sim = McmGpuSimulator(cfg, [tiny_workload()], check_invariants=True)
+    sim.filter_rows_memo[first_vpn] = poison
+    with pytest.raises(InvariantViolation, match="rows"):
+        sim.run()
+
+
+def test_shadow_filter_batches_pass_through_the_shadow():
+    proxy = small_checked()
+    items = (1, 2, 2, 3)
+    rows = tuple(cuckoo_rows(i, proxy.config) for i in items)
+    assert proxy.insert_many(items, rows) == 0
+    assert proxy._protected == {1: 1, 2: 2, 3: 1}
+    assert proxy.delete_many(items[:3], rows[:3]) == 3
+    assert proxy._protected == {3: 1}
+    with pytest.raises(ValueError):
+        proxy.insert_many(items, rows[:1])
 
 
 def test_checked_fbarre_run_protects_rcf_keys():
